@@ -272,7 +272,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "passed": True,
     }
     if c >= 3:
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         report["determinant"] = determinant(pd)
         report["jones"] = jones(pd, diagram_writhe(d, a)).to_json()
     if args.feasibility:
@@ -325,8 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eps", type=float, default=EPS_DEFAULT,
                         help="geometric tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for reproducibility")
     common.add_argument("--out", type=str, default=None,
                         help="write the report/SVG here instead of stdout")
     common.add_argument("--format", choices=("json", "text", "svg"),

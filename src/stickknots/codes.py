@@ -1,11 +1,18 @@
 """Diagram codes and small-knot classification.
 
-Given a diagram and an over/under choice at every crossing, this module
-extracts Gauss and planar-diagram (PD) codes, computes the Kauffman bracket
-state sum and the writhe-normalized Jones polynomial, and classifies the
-knot among the small types (unknot, 3_1, 4_1, 5_1, 5_2) that the stick
-constructions can produce.  Reference polynomials are computed in-process
-from standard minimal PD fixtures and validated by determinants.
+Every knot code takes one path.  A diagram and an over/under choice at
+every crossing give a *signed* Gauss code: the crossing visits in walk
+order, each marked over or under and carrying the crossing's writhe sign
+(+1 when the over strand passes from the right of the under strand to its
+left).  ``gauss_to_pd`` turns that code, and nothing else, into a planar-diagram
+(PD) code; ``_state_loops`` counts the loops of each of its 2^c smoothing
+states; ``_bracket`` weights those counts into the Kauffman bracket, and
+the writhe normalization gives the Jones polynomial.  ``BracketTable``
+keeps one projection's loop counts and reweights them for each crossing
+assignment.  The knot is classified among the small types (unknot, 3_1,
+4_1, 5_1, 5_2) that the stick constructions can produce, against reference
+polynomials computed in-process from standard minimal PD fixtures and
+validated by determinants.
 """
 
 from __future__ import annotations
@@ -13,19 +20,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    Crossing,
-    DegenerateDiagramError,
-    Diagram,
-    InvalidParameterError,
-    SizeError,
-    Vec2,
-)
+from .geometry import Diagram, InvalidParameterError, SizeError
 
 __all__ = [
     "CrossingAssignment",
@@ -90,6 +91,8 @@ class CrossingAssignment:
 
 @dataclass(frozen=True)
 class GaussEntry:
+    """One crossing visit: ``sign`` is the crossing's writhe sign (+1/-1)."""
+
     crossing: int
     over: bool
     sign: int
@@ -97,18 +100,25 @@ class GaussEntry:
 
 @dataclass(frozen=True)
 class GaussCode:
-    """Cyclic sequence of crossing visits along the walk traversal."""
+    """Signed cyclic sequence of crossing visits along the walk traversal.
+
+    Each crossing appears once over and once under, both visits carrying
+    the same writhe sign.
+    """
 
     entries: tuple[GaussEntry, ...]
 
     def __post_init__(self) -> None:
-        seen: dict[int, list[bool]] = {}
+        seen: dict[int, list[GaussEntry]] = {}
         for e in self.entries:
-            seen.setdefault(e.crossing, []).append(e.over)
-        for cid, overs in seen.items():
-            if sorted(overs) != [False, True]:
+            seen.setdefault(e.crossing, []).append(e)
+        for cid, visits in seen.items():
+            if sorted(e.over for e in visits) != [False, True]:
                 raise InvalidParameterError(
                     f"crossing {cid} must appear exactly once over and once under")
+            if visits[0].sign != visits[1].sign or visits[0].sign not in (-1, 1):
+                raise InvalidParameterError(
+                    f"crossing {cid} needs one sign, +1 or -1, on both visits")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -137,98 +147,53 @@ def _check_assignment(d: Diagram, a: CrossingAssignment) -> None:
             f"assignment covers {len(a)} crossings, diagram has {d.n_crossings}")
 
 
-def extract_gauss_code(d: Diagram, a: CrossingAssignment) -> GaussCode:
-    """Linearize the diagram: crossings in traversal order with over/under."""
+def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
+    """Writhe sign of each crossing under the assignment's over/under roles."""
     d.require_clean()
     _check_assignment(d, a)
+    # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over).
+    return [-c.sign if over else c.sign
+            for c, over in zip(d.crossings, a.over_a)]
+
+
+def extract_gauss_code(d: Diagram, a: CrossingAssignment) -> GaussCode:
+    """Linearize the diagram: signed crossings in traversal order."""
+    signs = _writhe_signs(d, a)
     entries = []
     for edge, t, k, side in _visit_order(d):
         over = a.over_a[k] if side == "a" else not a.over_a[k]
-        entries.append(GaussEntry(crossing=k, over=over, sign=d.crossings[k].sign))
+        entries.append(GaussEntry(crossing=k, over=over, sign=signs[k]))
     return GaussCode(tuple(entries))
 
 
-def _visit_directions(d: Diagram, edge: int, t: float) -> tuple[Vec2, Vec2]:
-    """Unit directions entering and leaving a crossing visit.
+def gauss_to_pd(g: GaussCode) -> PDCode:
+    """Convert a signed Gauss code to a PD code, one tuple per crossing.
 
-    A parameter of 1.0 means the strand turns the walk corner exactly at the
-    crossing, so the outgoing direction is the next edge's.
+    Arc i+1 enters visit i, so arcs are labeled 1..2c in traversal order.
+    Each tuple lists the incident arcs counterclockwise from the incoming
+    under-strand: (u_in, o_in, u_out, o_out) at a positive crossing and
+    (u_in, o_out, u_out, o_in) at a negative one.  Tuples come in
+    increasing crossing id.
     """
-    m = d.walk.n_edges
-    d_in = d.walk.edge_vec(edge).normalized()
-    if t >= 1.0 - 1e-12:
-        d_out = d.walk.edge_vec((edge + 1) % m).normalized()
-    else:
-        d_out = d_in
-    return d_in, d_out
-
-
-def gauss_to_pd(g: GaussCode, d: Diagram) -> PDCode:
-    """Convert a Gauss code to a PD code using the diagram's geometry.
-
-    Arcs are labeled 1..2c in traversal order.  Each crossing's 4-tuple
-    lists the incident arcs counterclockwise starting from the incoming
-    under-strand, which is the standard planar-diagram convention.
-    """
-    tuples, _ = _pd_with_meta(g, d)
-    return tuples
-
-
-def _pd_with_meta(g: GaussCode, d: Diagram) -> tuple[PDCode, list[int]]:
-    """PD tuples plus the per-crossing signs in crossing-index order."""
-    d.require_clean()
-    visits = _visit_order(d)
-    if len(visits) != len(g.entries):
-        raise InvalidParameterError("Gauss code does not match diagram")
-    n = len(visits)
-    if n == 0:
-        return (), []
-    c = n // 2
-
-    # Arc i+1 enters visit i; the arc leaving visit i enters the next visit.
-    def in_arc(i: int) -> int:
-        return i + 1
-
-    def out_arc(i: int) -> int:
-        return (i + 1) % n + 1
-
+    n = len(g.entries)
     by_crossing: dict[int, dict[bool, int]] = {}
-    for i, entry in enumerate(g.entries):
-        by_crossing.setdefault(entry.crossing, {})[entry.over] = i
-
-    tuples: list[tuple[int, int, int, int]] = []
-    signs: list[int] = []
-    for k in range(c):
-        roles = by_crossing[k]
-        u = roles[False]
-        o = roles[True]
-        u_in, u_out = _visit_directions(d, visits[u][0], visits[u][1])
-        o_in, o_out = _visit_directions(d, visits[o][0], visits[o][1])
-        ports = [
-            ((-u_in).angle(), in_arc(u)),
-            (u_out.angle(), out_arc(u)),
-            ((-o_in).angle(), in_arc(o)),
-            (o_out.angle(), out_arc(o)),
-        ]
-        base = ports[0][0]
-        ordered = sorted(
-            ports[1:], key=lambda pa: (pa[0] - base) % (2.0 * math.pi))
-        tuples.append((ports[0][1],) + tuple(arc for _, arc in ordered))
-        tan_u = (u_in + u_out)
-        tan_o = (o_in + o_out)
-        signs.append(1 if tan_u.cross(tan_o) > 0.0 else -1)
-    return tuple(tuples), signs
+    for i, e in enumerate(g.entries):
+        by_crossing.setdefault(e.crossing, {})[e.over] = i
+    tuples = []
+    for k in sorted(by_crossing):
+        u, o = by_crossing[k][False], by_crossing[k][True]
+        u_in, u_out = u + 1, (u + 1) % n + 1
+        o_in, o_out = o + 1, (o + 1) % n + 1
+        if g.entries[u].sign > 0:
+            tuples.append((u_in, o_in, u_out, o_out))
+        else:
+            tuples.append((u_in, o_out, u_out, o_in))
+    return tuple(tuples)
 
 
 def diagram_writhe(d: Diagram, a: CrossingAssignment) -> int:
     """Sum of crossing signs with the under/over roles from the assignment."""
-    d.require_clean()
-    _check_assignment(d, a)
-    w = 0
-    for k, c in enumerate(d.crossings):
-        # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over).
-        w += c.sign if not a.over_a[k] else -c.sign
-    return w
+    return sum(_writhe_signs(d, a))
 
 
 def pd_writhe(pd: PDCode) -> int:
@@ -287,9 +252,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
@@ -354,69 +316,99 @@ class _UnionFind:
             i = p[i]
         return i
 
-    def union(self, i: int, j: int) -> None:
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; False if they were already one."""
         ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
+        if ri == rj:
+            return False
+        self.parent[ri] = rj
+        return True
 
 
-def _arc_slot_pairs(pd: PDCode) -> list[tuple[int, int]]:
-    """Slot pairs (4k + port) connected by a shared arc label."""
-    where: dict[int, list[int]] = {}
-    for k, tup in enumerate(pd):
-        for i, arc in enumerate(tup):
-            where.setdefault(arc, []).append(4 * k + i)
-    pairs = []
-    for arc, slots in sorted(where.items()):
-        if len(slots) != 2:
-            raise InvalidParameterError(
-                f"arc label {arc} appears {len(slots)} times (expected 2)")
-        pairs.append((slots[0], slots[1]))
-    return pairs
+def _state_loops(pd: PDCode) -> np.ndarray:
+    """Loop count of every smoothing state, indexed by the state's bits.
 
-
-def _state_loops(pd: PDCode, arc_pairs: Sequence[tuple[int, int]],
-                 state: int) -> int:
-    """Closed loops after smoothing every crossing per the state bits.
-
-    Bit k set chooses the B-pairing at crossing k.
+    Bit k set chooses the B-pairing at crossing k.  A smoothing joins the
+    four arcs of each crossing in two pairs, so the loops are the connected
+    components of the arcs.  This is the only 2^c loop of the bracket.
     """
     c = len(pd)
-    uf = _UnionFind(4 * c)
-    for i, j in arc_pairs:
-        uf.union(i, j)
-    for k in range(c):
-        pairing = _PAIR_B if state >> k & 1 else _PAIR_A
-        for i, j in pairing:
-            uf.union(4 * k + i, 4 * k + j)
-    return sum(1 for i in range(4 * c) if uf.find(i) == i)
+    if c > MAX_STATE_SUM_CROSSINGS:
+        raise SizeError(f"state sum over {c} crossings exceeds the "
+                        f"2^{MAX_STATE_SUM_CROSSINGS} cap")
+    if c == 0:
+        return np.ones(1, dtype=np.uint8)  # a crossingless diagram is one loop
+    uses = Counter(arc for tup in pd for arc in tup)
+    for arc, times in sorted(uses.items()):
+        if times != 2:
+            raise InvalidParameterError(
+                f"arc label {arc} appears {times} times (expected 2)")
+    node = {arc: i for i, arc in enumerate(uses)}
+    joins = [[[(node[tup[i]], node[tup[j]]) for i, j in pairing]
+              for pairing in (_PAIR_A, _PAIR_B)] for tup in pd]
+    n_arcs = len(node)
+    loops = np.empty(1 << c, dtype=np.uint8)
+    for state in range(1 << c):
+        uf = _UnionFind(n_arcs)
+        merged = 0
+        for k in range(c):
+            for i, j in joins[k][state >> k & 1]:
+                merged += uf.union(i, j)
+        loops[state] = n_arcs - merged
+    return loops
+
+
+@functools.lru_cache(maxsize=None)
+def _state_popcounts(c: int) -> np.ndarray:
+    """Number of B-smoothings in each of the 2^c states."""
+    idx = np.arange(1 << c, dtype=np.uint32)
+    pop = np.zeros(1 << c, dtype=np.uint8)
+    for bit in range(c):
+        pop += ((idx >> bit) & 1).astype(np.uint8)
+    pop.flags.writeable = False  # shared by every caller through the cache
+    return pop
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_power(k: int) -> LaurentPoly:
+    """LOOP_FACTOR ** k."""
+    return LaurentPoly.one() if k == 0 else _loop_power(k - 1) * LOOP_FACTOR
+
+
+def _bracket(loops: np.ndarray, flip: int) -> LaurentPoly:
+    """State sum of A^(#A - #B) * LOOP_FACTOR^(loops - 1) over all states.
+
+    ``loops`` comes from ``_state_loops``; bit k of ``flip`` swaps the A and
+    B smoothings at crossing k, which is what flipping its over/under does.
+    """
+    c = loops.size.bit_length() - 1
+    pop = _state_popcounts(c)
+    if flip:
+        pop = pop[np.arange(loops.size, dtype=np.uint32) ^ np.uint32(flip)]
+    width = c + 2
+    key = pop.astype(np.int32) * width + loops.astype(np.int32)
+    counts = np.bincount(key, minlength=width * (c + 1))
+    total = LaurentPoly.zero()
+    for flat in np.nonzero(counts)[0]:
+        b, n_loops = divmod(int(flat), width)
+        total = total + _loop_power(n_loops - 1) * LaurentPoly.monomial(
+            int(counts[flat]), c - 2 * b)
+    return total
+
+
+def _normalize(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
+    """Writhe normalization (-A^3)^(-writhe) * bracket, in variable A."""
+    return LaurentPoly.monomial((-1) ** (writhe % 2), -3 * writhe) * bracket
 
 
 def kauffman_bracket(pd: PDCode) -> LaurentPoly:
     """Full state-sum Kauffman bracket (2^c states)."""
-    c = len(pd)
-    if c == 0:
-        return LaurentPoly.one()
-    if c > MAX_STATE_SUM_CROSSINGS:
-        raise SizeError(f"state sum over {c} crossings exceeds the 2^16 cap")
-    arc_pairs = _arc_slot_pairs(pd)
-    loop_pow = [LaurentPoly.one()]
-    for _ in range(c):
-        loop_pow.append(loop_pow[-1] * LOOP_FACTOR)
-    total = LaurentPoly.zero()
-    for state in range(1 << c):
-        b = bin(state).count("1")
-        loops = _state_loops(pd, arc_pairs, state)
-        total = total + loop_pow[loops - 1].scale(1) * LaurentPoly.monomial(
-            1, c - 2 * b)
-    return total
+    return _bracket(_state_loops(pd), 0)
 
 
 def jones(pd: PDCode, writhe: int) -> LaurentPoly:
     """Writhe-normalized bracket: (-A^3)^(-writhe) * <pd>, in variable A."""
-    br = kauffman_bracket(pd)
-    norm = LaurentPoly.monomial((-1) ** (writhe % 2), -3 * writhe)
-    return norm * br
+    return _normalize(kauffman_bracket(pd), writhe)
 
 
 _DET_POINT = cmath.exp(1j * math.pi / 4.0)
@@ -520,9 +512,6 @@ class KnotClass:
             return f"{self.kind}_{self.chirality}"
         return self.kind
 
-    def base_kind(self) -> str:
-        return self.kind
-
 
 _TABLE = {
     "unknot": (0, 3, 1),
@@ -600,15 +589,9 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
     """
     d.require_clean()
     _check_assignment(d, a)
-    c = d.n_crossings
-    if c > MAX_STATE_SUM_CROSSINGS:
-        raise SizeError(f"{c} crossings exceed the classification cap")
-    if c < 3:
+    if d.n_crossings < 3:
         return UNKNOT
-    g = extract_gauss_code(d, a)
-    pd, signs = _pd_with_meta(g, d)
-    w = sum(signs)
-    return classify_jones(jones(pd, w))
+    return BracketTable(d).classify(a)
 
 
 # ---------------------------------------------------------------------------
@@ -720,65 +703,26 @@ class BracketTable:
     choices; only the A/B labeling of the two smoothings at each crossing
     does, and flipping a crossing swaps them.  Precomputing every state's
     loop count therefore lets the bracket of each of the 2^c assignments be
-    assembled by a cheap reweighting instead of a fresh state sum.
+    assembled by a cheap reweighting instead of a fresh state sum.  The
+    table is built with every ``edge_a`` under, so the bits of an
+    assignment are exactly the crossings whose smoothings swap.
     """
 
     def __init__(self, d: Diagram) -> None:
-        d.require_clean()
-        c = d.n_crossings
-        if c > MAX_STATE_SUM_CROSSINGS:
-            raise SizeError(f"{c} crossings exceed the 2^16 state-table cap")
-        self.n_crossings = c
-        self.base = CrossingAssignment((True,) * c)
-        g = extract_gauss_code(d, self.base)
-        pd, signs = _pd_with_meta(g, d)
-        self.base_signs = tuple(signs)
-        arc_pairs = _arc_slot_pairs(pd)
-        n_states = 1 << c
-        loops = np.empty(n_states, dtype=np.uint8)
-        for state in range(n_states):
-            loops[state] = _state_loops(pd, arc_pairs, state)
-        self._loops = loops
-        idx = np.arange(n_states, dtype=np.uint32)
-        self._idx = idx
-        pop = np.zeros(n_states, dtype=np.uint8)
-        for bit in range(c):
-            pop += ((idx >> bit) & 1).astype(np.uint8)
-        self._pop = pop
-        self._loop_pow = [LaurentPoly.one()]
-        for _ in range(c + 1):
-            self._loop_pow.append(self._loop_pow[-1] * LOOP_FACTOR)
-        self._jones_cache: dict[bytes, LaurentPoly] = {}
+        base = CrossingAssignment((False,) * d.n_crossings)
+        self.diagram = d
+        self.n_crossings = d.n_crossings
+        self._loops = _state_loops(gauss_to_pd(extract_gauss_code(d, base)))
 
     def writhe(self, a: CrossingAssignment) -> int:
-        w = 0
-        for k, s in enumerate(self.base_signs):
-            w += s if a.over_a[k] else -s
-        return w
+        return diagram_writhe(self.diagram, a)
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
-        c = self.n_crossings
-        if c == 0:
-            return LaurentPoly.one()
-        flip = self.base.bits ^ a.bits
-        width = c + 2
-        key = (self._pop[self._idx ^ np.uint32(flip)].astype(np.int32) * width
-               + self._loops.astype(np.int32))
-        counts = np.bincount(key, minlength=width * (c + 1))
-        total = LaurentPoly.zero()
-        for flat in np.nonzero(counts)[0]:
-            b = int(flat) // width
-            loops = int(flat) % width
-            cnt = int(counts[flat])
-            term = self._loop_pow[loops - 1] * LaurentPoly.monomial(
-                cnt, c - 2 * b)
-            total = total + term
-        return total
+        _check_assignment(self.diagram, a)
+        return _bracket(self._loops, a.bits)
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
-        br = self.bracket(a)
-        w = self.writhe(a)
-        return LaurentPoly.monomial((-1) ** (w % 2), -3 * w) * br
+        return _normalize(self.bracket(a), self.writhe(a))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
         if self.n_crossings < 3:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .geometry import (
     EPS_DEFAULT,
@@ -23,10 +23,7 @@ from .geometry import (
     Transversal,
     Vec2,
     VectorSet,
-    build_walk,
-    detect_crossings,
     diagram_from_ordering,
-    local_maxima_count,
     polar_sort,
     regular_ngon,
     segment_intersection,
@@ -39,7 +36,6 @@ from .codes import (
     alternating_assignment,
     classify,
     merge_crossingless_runs,
-    stick_filter,
 )
 from .heights import (
     HeightCertificate,

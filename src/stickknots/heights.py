@@ -10,7 +10,6 @@ that reformulation is solved as a linear program.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence

@@ -23,7 +23,15 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .geometry import InvalidParameterError, Vec2
-from .codes import KnotClass, classify_jones, jones
+from .codes import (
+    GaussCode,
+    GaussEntry,
+    KnotClass,
+    PDCode,
+    classify_jones,
+    gauss_to_pd,
+    jones,
+)
 
 __all__ = [
     "TripleLabeling",
@@ -209,11 +217,6 @@ class ClosureScheme:
 WORKED_SCHEME_PAIRING = ((5, 6), (1, "a"), (2, "c"), (3, "d"), (4, "b"))
 
 
-def _node_of_port(piece_ends, piece):
-    """Both (node, rotation position) attachments keyed by piece id."""
-    return piece_ends[piece]
-
-
 def _build_map(internal_pair: tuple[int, int],
                matching: tuple[tuple[int, str], ...]):
     """Assemble the 4-valent map; return (twin, None) or (None, reason).
@@ -321,10 +324,6 @@ def _candidate_pairings() -> Iterator[tuple[tuple[int, int], tuple[tuple[int, st
             yield (a, b), tuple(zip(rest, perm))
 
 
-def _scheme_key(internal_pair, matching) -> tuple:
-    return (internal_pair, matching)
-
-
 def _rotate_scheme(internal_pair, matching, r6: int, r4: int):
     """Image of a scheme under rotating the two disks (60 and 90 degrees)."""
     def rot_end(e: int) -> int:
@@ -395,13 +394,12 @@ def WORKED_SCHEME() -> ClosureScheme:
 
 
 def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
-                trad_over_ad: bool) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+                trad_over_ad: bool) -> tuple[PDCode, int]:
     """PD code and writhe of one closed-up diagram.
 
     ``trad_over_ad`` picks which strand of the ordinary crossing goes over
-    (the a-d strand if true).  Arcs are labeled 1..8 in traversal order and
-    each crossing's tuple lists its arcs counterclockwise from the incoming
-    under-strand, matching the convention used throughout.
+    (the a-d strand if true).  The knot is traversed into a signed Gauss
+    code, which ``gauss_to_pd`` turns into PD tuples.
     """
     built, reason = _build_map(scheme.internal_pair, scheme.matching)
     if built is None:
@@ -420,7 +418,6 @@ def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
         cur = (node, (pos + 2) % 4)
         if cur == start:
             break
-    n = len(visits)  # 8: two visits per crossing
 
     def strand_at(node, pos) -> object:
         if node == "trad":
@@ -434,23 +431,22 @@ def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
         s, t = node
         return t if label.over_strand(s, t) == s else s
 
-    # Arc i+1 enters visit i; the arc leaving enters the next visit.
-    port_arc: dict[tuple[object, int], int] = {}
-    for i, (node, pos) in enumerate(visits):
-        port_arc[(node, pos)] = i + 1                      # incoming arc
-        port_arc[(node, (pos + 2) % 4)] = (i + 1) % n + 1  # outgoing arc
-
-    tuples = []
-    writhe = 0
-    for node in sorted({v[0] for v in visits}, key=str):
+    # Crossing ids follow this node order, which fixes the PD tuple order.
+    nodes = sorted({v[0] for v in visits}, key=str)
+    sign = {}
+    for node in nodes:
         ins = [pos for v, pos in visits if v == node]
         u_in = next(p for p in ins if strand_at(node, p) == under_strand(node))
         o_in = next(p for p in ins if p != u_in)
-        tuples.append(tuple(port_arc[(node, (u_in + k) % 4)] for k in range(4)))
         # With counterclockwise ports, the crossing is positive exactly when
         # the over strand enters one step counterclockwise of the under-in.
-        writhe += 1 if o_in == (u_in + 1) % 4 else -1
-    return tuple(tuples), writhe
+        sign[node] = 1 if o_in == (u_in + 1) % 4 else -1
+    g = GaussCode(tuple(
+        GaussEntry(crossing=nodes.index(node),
+                   over=strand_at(node, pos) != under_strand(node),
+                   sign=sign[node])
+        for node, pos in visits))
+    return gauss_to_pd(g), sum(sign.values())
 
 
 def classify_closure(scheme: ClosureScheme, label: TripleLabeling,

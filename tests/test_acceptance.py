@@ -208,7 +208,7 @@ def test_05_eight_gon_reordering_realizes_the_figure_eight():
     assert k.kind == "figure_eight"
     system = constraints_from_assignment(d, a)
     assert verify_certificate(system, cert).ok
-    pd = gauss_to_pd(extract_gauss_code(d, a), d)
+    pd = gauss_to_pd(extract_gauss_code(d, a))
     assert determinant(pd) == 5
     j = jones(pd, diagram_writhe(d, a))
     assert j == jones(FIGURE_EIGHT_PD, pd_writhe(FIGURE_EIGHT_PD))
@@ -270,7 +270,7 @@ def test_07_companion_octagram_cinquefoil_counterexample(octagon_census):
     table = BracketTable(d)
     k = table.classify(a)
     assert k.kind == "cinquefoil"
-    pd = gauss_to_pd(extract_gauss_code(d, a), d)
+    pd = gauss_to_pd(extract_gauss_code(d, a))
     assert table.jones(a) == jones(pd, diagram_writhe(d, a))
     assert determinant(pd) == 5
     assert not tricolorable(extract_gauss_code(d, a))
@@ -321,16 +321,16 @@ def test_09_codes_invariants_representative():
     d = detect_crossings(walk_from_integer_vertices(verts))
     for bits in (0, 1):
         a = CrossingAssignment.from_bits(1, bits)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         w = diagram_writhe(d, a)
         assert jones(pd, w).to_json() == {"0": 1}
     # mirror symmetry on a chiral projection
     d7 = diagram_from_ordering(regular_ngon(7), SEVEN_GON_TREFOIL_ORDERING)
     a = alternating_assignment(d7)
-    pd = gauss_to_pd(extract_gauss_code(d7, a), d7)
+    pd = gauss_to_pd(extract_gauss_code(d7, a))
     j = jones(pd, diagram_writhe(d7, a))
     m = a.flipped()
-    pd_m = gauss_to_pd(extract_gauss_code(d7, m), d7)
+    pd_m = gauss_to_pd(extract_gauss_code(d7, m))
     assert jones(pd_m, diagram_writhe(d7, m)) == j.mirror()
     assert time.perf_counter() - start < 10.0
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from stickknots.geometry import Ordering, diagram_from_ordering, regular_ngon
+from stickknots import codes
+from stickknots.geometry import (
+    Ordering,
+    SizeError,
+    diagram_from_ordering,
+    regular_ngon,
+)
 from stickknots.codes import (
     CINQUEFOIL_PD,
     FIGURE_EIGHT_PD,
@@ -36,6 +42,7 @@ TREFOIL_7GON = Ordering((0, 1, 3, 5, 6, 2, 4))
 PENTAGRAM = Ordering((0, 3, 1, 4, 2))
 FIGURE_EIGHT_8GON = Ordering((0, 2, 4, 7, 1, 6, 3, 5))
 OCTAGRAM = Ordering((0, 3, 6, 1, 4, 7, 2, 5))
+STAR_9_4 = Ordering((0, 4, 8, 3, 7, 2, 6, 1, 5))
 
 
 def _diagram(n, ordering):
@@ -58,6 +65,18 @@ def test_gauss_code_requires_once_over_once_under():
         GaussCode((GaussEntry(0, True, 1), GaussEntry(0, True, 1)))
 
 
+def test_gauss_code_rejects_visits_with_different_signs():
+    with pytest.raises(InvalidParameterError):
+        GaussCode((GaussEntry(0, True, 1), GaussEntry(0, False, -1)))
+
+
+def test_signed_gauss_code_of_trefoil_gives_reference_pd():
+    # visit i is entered by arc i+1; all three crossings are positive
+    g = GaussCode(tuple(GaussEntry(k, over, 1) for k, over in (
+        (0, False), (2, True), (1, False), (0, True), (2, False), (1, True))))
+    assert gauss_to_pd(g) == TREFOIL_PD
+
+
 def test_gauss_code_of_trefoil_projection():
     d = _diagram(7, TREFOIL_7GON)
     a = alternating_assignment(d)
@@ -75,8 +94,10 @@ def test_pd_writhe_matches_geometric_writhe():
         d = _diagram(n, ordering)
         for bits in range(1 << d.n_crossings):
             a = CrossingAssignment.from_bits(d.n_crossings, bits)
-            pd = gauss_to_pd(extract_gauss_code(d, a), d)
+            g = extract_gauss_code(d, a)
+            pd = gauss_to_pd(g)
             assert pd_writhe(pd) == diagram_writhe(d, a)
+            assert sum(e.sign for e in g.entries) == 2 * diagram_writhe(d, a)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +133,7 @@ def test_kink_bracket_calibration():
     assert d.n_crossings == 1
     for bits in (0, 1):
         a = CrossingAssignment.from_bits(1, bits)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         w = diagram_writhe(d, a)
         assert w in (-1, 1)
         assert kauffman_bracket(pd) == LaurentPoly.monomial(-1, 3 * w)
@@ -124,10 +145,10 @@ def test_jones_mirror_symmetry():
     for n, ordering in ((7, TREFOIL_7GON), (5, PENTAGRAM)):
         d = _diagram(n, ordering)
         a = alternating_assignment(d)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         j = jones(pd, diagram_writhe(d, a))
         flipped = a.flipped()
-        pd_m = gauss_to_pd(extract_gauss_code(d, flipped), d)
+        pd_m = gauss_to_pd(extract_gauss_code(d, flipped))
         j_m = jones(pd_m, diagram_writhe(d, flipped))
         assert j_m == j.mirror()
         assert j_m != j  # trefoil and cinquefoil are chiral
@@ -136,7 +157,7 @@ def test_jones_mirror_symmetry():
 def test_figure_eight_jones_is_amphichiral():
     d = _diagram(8, FIGURE_EIGHT_8GON)
     a = alternating_assignment(d)
-    pd = gauss_to_pd(extract_gauss_code(d, a), d)
+    pd = gauss_to_pd(extract_gauss_code(d, a))
     j = jones(pd, diagram_writhe(d, a))
     assert j == j.mirror()
     assert j == jones(FIGURE_EIGHT_PD, pd_writhe(FIGURE_EIGHT_PD))
@@ -175,7 +196,7 @@ def test_jones_agrees_across_different_trefoil_realizations():
     for n in (7, 9, 12):
         d = diagram_from_ordering(regular_ngon(n), trefoil_selection(n))
         a = alternating_assignment(d)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         j = jones(pd, diagram_writhe(d, a))
         k = classify(d, a)
         assert k.kind == "trefoil"
@@ -207,7 +228,7 @@ def test_bracket_table_matches_direct_state_sum():
     table = BracketTable(d)
     for bits in range(1 << d.n_crossings):
         a = CrossingAssignment.from_bits(d.n_crossings, bits)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         assert table.bracket(a) == kauffman_bracket(pd)
         assert table.writhe(a) == diagram_writhe(d, a)
         assert table.jones(a) == jones(pd, diagram_writhe(d, a))
@@ -219,8 +240,26 @@ def test_bracket_table_spot_check_large_projection():
     table = BracketTable(d)
     for bits in (0, 1477, 34879, 65535):
         a = CrossingAssignment.from_bits(16, bits)
-        pd = gauss_to_pd(extract_gauss_code(d, a), d)
+        pd = gauss_to_pd(extract_gauss_code(d, a))
         assert table.jones(a) == jones(pd, diagram_writhe(d, a))
+
+
+def test_state_sum_cap_raises_before_enumerating_states(monkeypatch):
+    d = _diagram(9, STAR_9_4)
+    assert not d.is_degenerate and d.n_crossings == 27
+    a = CrossingAssignment.from_bits(27, 0)
+    pd = gauss_to_pd(extract_gauss_code(d, a))
+
+    def no_state(*args):
+        raise AssertionError("a smoothing state was enumerated")
+
+    monkeypatch.setattr(codes, "_UnionFind", no_state)
+    with pytest.raises(SizeError):
+        classify(d, a)
+    with pytest.raises(SizeError):
+        BracketTable(d)
+    with pytest.raises(SizeError):
+        kauffman_bracket(pd)
 
 
 # ---------------------------------------------------------------------------
