@@ -34,9 +34,6 @@ from .render import render_svg
 
 __all__ = ["main"]
 
-VERIFY_TARGETS = ("6gon", "selection", "triple", "7gon-trefoil",
-                  "8gon-41", "pentagram-51", "8gon-census")
-
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":

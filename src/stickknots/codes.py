@@ -80,6 +80,9 @@ class CrossingAssignment:
 
     @classmethod
     def from_bits(cls, n_crossings: int, bits: int) -> "CrossingAssignment":
+        if not 0 <= bits < 1 << n_crossings:
+            raise InvalidParameterError(
+                f"assignment bits {bits} out of range for {n_crossings} crossings")
         return cls(tuple(bool(bits >> k & 1) for k in range(n_crossings)))
 
     def flipped(self) -> "CrossingAssignment":
@@ -268,9 +271,6 @@ class LaurentPoly:
 
     def evaluate(self, a: complex) -> complex:
         return sum(c * a ** e for e, c in self.coeffs.items())
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
 
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in sorted(self.coeffs.items())}

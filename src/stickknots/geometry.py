@@ -1,11 +1,12 @@
 """Planar vector sets, closed polygonal walks, and crossing detection.
 
 A collection of planar vectors summing to zero can be placed tip-to-tail in
-any order to form a closed polygonal walk.  This module builds those walks,
-finds all transversal self-intersections of non-adjacent edges, and resolves
-the degenerate contacts (retraced edges, coincident vertices, vertices lying
-on other edges, collinear overlaps) that symmetric vector sets produce in
-abundance.
+any order to form a closed polygonal walk.  This module builds those walks
+and finds their crossings: it collapses retraced edge pairs, then one scan
+of all non-adjacent edge pairs finds transversals, collinear overlaps and
+the vertex contacts (coincident vertices, vertices on other edges) that
+symmetric vector sets produce in abundance, then resolves each contact by
+the angular interleaving of the strands through it.
 
 All computations use double precision with an explicit tolerance ``eps``
 (default 1e-9).  Regular polygon coordinates are irrational, so exact
@@ -15,8 +16,8 @@ instead classified and either resolved or flagged.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -466,9 +467,6 @@ class Diagram:
             "degeneracies": [d.to_json() for d in self.degeneracies],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, obj: dict) -> "Diagram":
         vectors = None
@@ -538,8 +536,12 @@ def _ray_directions_at(walk: Walk, vertex: int) -> tuple[Vec2, Vec2]:
     return (-d_in), d_out
 
 
-def _interleaved(rays_a: tuple[Vec2, Vec2], rays_b: tuple[Vec2, Vec2],
-                 eps_angle: float = 1e-9) -> Optional[bool]:
+#: Rays closer than this angle (radians) cannot be told apart.
+_EPS_ANGLE = 1e-9
+
+
+def _interleaved(rays_a: tuple[Vec2, Vec2],
+                 rays_b: tuple[Vec2, Vec2]) -> Optional[bool]:
     """Whether strand b's rays separate strand a's rays angularly.
 
     Four rays leave a shared point.  The two strands cross there exactly when
@@ -552,7 +554,7 @@ def _interleaved(rays_a: tuple[Vec2, Vec2], rays_b: tuple[Vec2, Vec2],
         a0 = labeled[i][0]
         a1 = labeled[(i + 1) % 4][0]
         gap = (a1 - a0) % (2.0 * math.pi)
-        if gap <= eps_angle or gap >= 2.0 * math.pi - eps_angle:
+        if gap <= _EPS_ANGLE or gap >= 2.0 * math.pi - _EPS_ANGLE:
             if labeled[i][1] != labeled[(i + 1) % 4][1]:
                 return None
     pattern = [lab for _, lab in labeled]
@@ -663,75 +665,45 @@ def _vertex_on_edge_param(walk: Walk, v: int, e: int) -> float:
     return (walk.vertex(v) - p).dot(d) / d.dot(d)
 
 
-def _find_vertex_contacts(walk: Walk, eps: float) -> list[Degeneracy]:
-    """Locate coincident vertex pairs and vertices lying on non-incident edges.
+def _contacts_at(walk: Walk, i: int, j: int, point: Vec2,
+                 eps: float) -> list[tuple[str, tuple[int, int]]]:
+    """The contacts that a vertex_contact of edges i and j at point stands for.
 
-    A vertex involved in more than one contact (a triple point) is left for
-    the caller to mark unresolved.
+    Endpoints of both edges at the point are coincident vertices; an
+    endpoint of one edge only lies on the other edge.
     """
     m = walk.n_edges
-    contacts: list[Degeneracy] = []
-    touch_count: dict[int, int] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (walk.vertex(i) - walk.vertex(j)).norm() <= eps:
-                contacts.append(Degeneracy("vertex_coincidence", (i, j), "pending"))
-                touch_count[i] = touch_count.get(i, 0) + 1
-                touch_count[j] = touch_count.get(j, 0) + 1
-    for v in range(m):
-        for e in range(m):
-            if e == v or e == (v - 1) % m:
-                continue
-            p, q = walk.edge(e)
-            d = q - p
-            ln = d.norm()
-            if ln <= eps:
-                continue
-            s = (walk.vertex(v) - p).dot(d) / (ln * ln)
-            proj = Vec2(p.x + s * d.x, p.y + s * d.y)
-            if (walk.vertex(v) - proj).norm() > eps:
-                continue
-            if s * ln <= eps or (1.0 - s) * ln <= eps:
-                continue  # endpoint contact: covered as a vertex coincidence
-            contacts.append(Degeneracy("vertex_on_edge", (v, e), "pending"))
-            touch_count[v] = touch_count.get(v, 0) + 1
-    out: list[Degeneracy] = []
-    for deg in contacts:
-        v = deg.involved[0]
-        multi = touch_count.get(v, 0) > 1
-        if deg.kind == "vertex_coincidence":
-            multi = multi or touch_count.get(deg.involved[1], 0) > 1
-        if multi:
-            out.append(Degeneracy(deg.kind, deg.involved, "unresolved"))
-        else:
-            out.append(deg)
-    return out
+    near_i = [v % m for v in (i, i + 1) if (walk.vertex(v) - point).norm() <= eps]
+    near_j = [v % m for v in (j, j + 1) if (walk.vertex(v) - point).norm() <= eps]
+    if near_i and near_j:
+        return [("vertex_coincidence", (min(a, b), max(a, b)))
+                for a in near_i for b in near_j]
+    return ([("vertex_on_edge", (a, j)) for a in near_i]
+            + [("vertex_on_edge", (b, i)) for b in near_j])
 
 
 def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     """Find all crossings of a closed walk, resolving degenerate contacts.
 
-    Pipeline: collapse retraced edge pairs, resolve vertex contacts by
-    angular interleaving, then scan all non-adjacent edge pairs for
-    transversal intersections.  Crossings are sorted by (edge_a, t_a).
-    Collinear overlaps and unresolvable contacts flag the diagram.
+    Pipeline: collapse retraced edge pairs; one scan of all non-adjacent
+    edge pairs then finds transversal intersections, collinear overlaps and
+    vertex contacts (coincident vertices and vertices on other edges);
+    finally each vertex contact is resolved by angular interleaving.  A
+    vertex in more than one contact (a triple point) leaves all of its
+    contacts unresolved.  Crossings are sorted by (edge_a, t_a).  Collinear
+    overlaps and unresolvable contacts flag the diagram.
     """
     collapsed, degs = _collapse_retraces(walk, eps)
     m = collapsed.n_edges
     if m < 3:
         return Diagram(walk=collapsed, crossings=(), degeneracies=tuple(degs))
 
-    contacts = _find_vertex_contacts(collapsed, eps)
-    contacts = resolve_degeneracies(collapsed, contacts, eps)
-    degs.extend(contacts)
-    crossings = [d.crossing for d in contacts if d.crossing is not None]
-    contact_points = [d.crossing.point for d in contacts if d.crossing is not None]
-    contact_points += [collapsed.vertex(d.involved[0]) for d in contacts
-                       if d.crossing is None and d.kind != "collinear_overlap"]
-
+    transversals: list[Crossing] = []
+    overlaps: list[Degeneracy] = []
+    contacts: set[tuple[str, tuple[int, int]]] = set()
     for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
                 continue  # cyclically adjacent: shared vertex is never a crossing
             p0, p1 = collapsed.edge(i)
             q0, q1 = collapsed.edge(j)
@@ -741,19 +713,38 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
             if isinstance(res, Transversal):
                 sign = _sign_from_tangents(collapsed.edge_vec(i),
                                            collapsed.edge_vec(j))
-                crossings.append(Crossing(edge_a=i, edge_b=j, t_a=res.t,
-                                          t_b=res.s, point=res.point, sign=sign))
+                transversals.append(Crossing(edge_a=i, edge_b=j, t_a=res.t,
+                                             t_b=res.s, point=res.point,
+                                             sign=sign))
             elif res.kind == "collinear_overlap":
-                degs.append(Degeneracy("collinear_overlap", (i, j), "unresolved"))
+                overlaps.append(Degeneracy("collinear_overlap", (i, j),
+                                           "unresolved"))
             else:
-                # Vertex contact: already handled by the vertex scan unless the
-                # contact point matches no known contact (numerical surprise).
-                pt = res.point
-                known = pt is not None and any(
-                    (pt - cp).norm() <= 10.0 * eps for cp in contact_points)
-                if not known:
-                    degs.append(Degeneracy("vertex_on_edge", (i, j), "unresolved"))
+                contacts.update(_contacts_at(collapsed, i, j, res.point, eps))
+    if m == 3:
+        # A triangle has no non-adjacent edge pair, yet a flat one has a
+        # vertex inside its opposite edge.
+        for v in range(3):
+            e = (v + 1) % 3
+            ln = collapsed.edge_vec(e).norm()
+            s = _vertex_on_edge_param(collapsed, v, e)
+            off = (collapsed.point_on_edge(e, s) - collapsed.vertex(v)).norm()
+            if off <= eps and eps < s * ln < ln - eps:
+                contacts.add(("vertex_on_edge", (v, e)))
 
+    # Sorting puts coincidences before vertex-on-edge contacts (by name),
+    # each ordered by the vertices and edges involved.
+    ordered = sorted(contacts)
+    touching = [inv if kind == "vertex_coincidence" else inv[:1]
+                for kind, inv in ordered]
+    touches = Counter(v for vs in touching for v in vs)
+    pending = [Degeneracy(kind, inv, "unresolved"
+                          if any(touches[v] > 1 for v in vs) else "pending")
+               for (kind, inv), vs in zip(ordered, touching)]
+    resolved = resolve_degeneracies(collapsed, pending, eps)
+    degs += resolved + overlaps
+    crossings = [d.crossing for d in resolved if d.crossing is not None]
+    crossings += transversals
     crossings.sort(key=lambda c: (c.edge_a, c.t_a, c.edge_b, c.t_b))
     return Diagram(walk=collapsed, crossings=tuple(crossings),
                    degeneracies=tuple(degs))

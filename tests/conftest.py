@@ -99,6 +99,40 @@ def exact_walk_events(vertices: list[tuple[int, int]]):
     return transversals, degenerate
 
 
+def exact_vertex_contacts(vertices: list[tuple[int, int]]):
+    """The exact vertex contacts of an integer closed walk.
+
+    Returns (contacts, overlap).  contacts is the set of
+    ("vertex_coincidence", (i, j)) for coincident vertices i < j and of
+    ("vertex_on_edge", (v, e)) for each vertex v strictly inside an edge e
+    not incident to it.  overlap is True when two non-adjacent edges share a
+    segment of positive length.
+    """
+    m = len(vertices)
+    contacts = {("vertex_coincidence", (i, j))
+                for i in range(m) for j in range(i + 1, m)
+                if vertices[i] == vertices[j]}
+    overlap = False
+    for e in range(m):
+        (ax, ay), (bx, by) = vertices[e], vertices[(e + 1) % m]
+        dx, dy = bx - ax, by - ay
+        length2 = dx * dx + dy * dy
+        # each vertex on the line of edge e, with its position along the
+        # edge scaled by the edge's squared length
+        pos = {v: (x - ax) * dx + (y - ay) * dy
+               for v, (x, y) in enumerate(vertices)
+               if dx * (y - ay) - dy * (x - ax) == 0}
+        for v, t in pos.items():
+            if v not in (e, (e + 1) % m) and 0 < t < length2:
+                contacts.add(("vertex_on_edge", (v, e)))
+            # edge v (vertex v to vertex v + 1) lies on the line too
+            w = (v + 1) % m
+            if w in pos and v not in ((e - 1) % m, e, (e + 1) % m):
+                lo, hi = sorted((t, pos[w]))
+                overlap |= min(hi, length2) > max(lo, 0)
+    return contacts, overlap
+
+
 def random_integer_walk(rng: random.Random, n: int,
                         span: int = 7) -> list[tuple[int, int]]:
     """A random closed integer walk of n steps (last step closes the loop)."""

@@ -120,4 +120,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["classify"]) == 2
     assert main(["verify", "6gon", "--eps", "-1"]) == 2
     assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    # the 7-gon ordering has 3 crossings, so its assignments are 0..7
+    for command in ("classify", "render"):
+        for bits in ("99", "-1"):
+            assert main([command, "--n", "7", "--ordering", "0,2,4,1,6,3,5",
+                         "--assignment", bits]) == 2
+    assert "out of range" in capsys.readouterr().err

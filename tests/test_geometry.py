@@ -29,6 +29,7 @@ from stickknots.geometry import (
 )
 
 from conftest import (
+    exact_vertex_contacts,
     exact_walk_events,
     random_integer_walk,
     walk_from_integer_vertices,
@@ -219,6 +220,28 @@ def test_collinear_overlap_flags_diagram():
     assert any(g.kind == "collinear_overlap" for g in d.degeneracies)
 
 
+def test_triple_point_leaves_its_contacts_unresolved():
+    # vertex 1 sits where edges 3 and 5 cross: it touches two edges at once
+    verts = [(0, 0), (-1, -1), (-1, -2), (0, -1), (-2, -1), (-3, -3)]
+    d = detect_crossings(walk_from_integer_vertices(verts))
+    assert d.is_degenerate
+    assert [(g.kind, g.involved, g.resolution) for g in d.degeneracies] == [
+        ("vertex_on_edge", (1, 3), "unresolved"),
+        ("vertex_on_edge", (1, 5), "unresolved"),
+    ]
+    assert [(c.edge_a, c.edge_b) for c in d.crossings] == [(3, 5)]
+
+
+def test_flat_triangle_vertex_on_opposite_edge_is_unresolved():
+    # a 3-edge walk has no non-adjacent edge pair, yet vertex 2 lies inside
+    # edge 0
+    d = detect_crossings(walk_from_integer_vertices([(0, 0), (2, 0), (1, 0)]))
+    assert d.is_degenerate
+    assert [(g.kind, g.involved, g.resolution) for g in d.degeneracies] == [
+        ("vertex_on_edge", (2, 0), "unresolved"),
+    ]
+
+
 def test_crossing_list_is_sorted_and_deduplicated():
     d = diagram_from_ordering(regular_ngon(8), Ordering((0, 3, 6, 1, 4, 7, 2, 5)))
     keys = [(c.edge_a, c.t_a, c.edge_b, c.t_b) for c in d.crossings]
@@ -232,12 +255,19 @@ def test_crossing_list_is_sorted_and_deduplicated():
 
 def test_exact_rational_oracle_on_random_walks():
     rng = random.Random(20240817)
-    checked_clean = 0
+    checked_clean = checked_contacts = 0
     for _ in range(1000):
         n = rng.randint(5, 9)
         verts = random_integer_walk(rng, n)
         transversals, degenerate = exact_walk_events(verts)
+        contacts, overlap = exact_vertex_contacts(verts)
         d = detect_crossings(walk_from_integer_vertices(verts))
+        retrace = any(verts[i] == verts[(i + 2) % n] for i in range(n))
+        if not retrace and not overlap:
+            # the records name exactly the exact vertex contacts, once each
+            checked_contacts += 1
+            assert sorted((g.kind, g.involved) for g in d.degeneracies) \
+                == sorted(contacts), verts
         if degenerate:
             # every exact degeneracy must surface as a degeneracy record
             assert d.degeneracies, verts
@@ -251,6 +281,7 @@ def test_exact_rational_oracle_on_random_walks():
             assert got[key][0] == pytest.approx(float(t), abs=1e-9)
             assert got[key][1] == pytest.approx(float(s), abs=1e-9)
     assert checked_clean > 500  # the oracle exercised plenty of clean walks
+    assert checked_contacts > 900
 
 
 @pytest.mark.parametrize("verts", [

@@ -1,4 +1,5 @@
-"""Source hygiene: no module under src/stickknots imports a name it never uses."""
+"""Source hygiene: no module under src/stickknots imports a name it never
+uses or defines a top-level name that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stickknots"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,13 +37,62 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used |= _exported(tree)
     return [f"{name} (line {line})" for name, line in sorted(imported.items())
             if name not in used]
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions, classes and assignments that nothing reads.
+
+    ``sources`` maps module names to source text.  A definition counts as
+    read when its module exports it in ``__all__``, or when any module loads
+    the name, reads it as an attribute or imports it by name.  Dunder names
+    are skipped.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    out = []
+    for mod, tree in sorted(trees.items()):
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(
+                    node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [f"{mod}.{name} (line {node.lineno})" for name in names
+                    if not name.startswith("__") and name not in exported
+                    and name not in read]
+    return out
+
+
+def test_unread_definition_detector():
+    sources = {
+        "a": "__all__ = ['f']\ndef f(): return _g()\ndef _g(): pass\n"
+             "def _dead(): pass\nLIMIT = 3\nclass _Box: pass\n",
+        "b": "from .a import LIMIT\nimport a\nx: int = a._Box\n",
+    }
+    assert unread_definitions(sources) == ["a._dead (line 4)", "b.x (line 3)"]
+
+
+def test_no_unread_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_definitions(sources) == []
 
 
 def test_unused_import_detector():
