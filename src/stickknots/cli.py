@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -78,6 +79,18 @@ def _verify_6gon(eps: float) -> dict:
         "passed": expected == got,
         "diff": _failure_diff(expected, got),
     }
+
+
+def _selection_range(target: str) -> tuple[int, int]:
+    """(LO, HI) of a ``selection`` or ``selection:LO-HI`` verify target."""
+    if target == "selection":
+        return 7, 100
+    m = re.fullmatch(r"selection:([0-9]+)-([0-9]+)", target)
+    if m is None or not 7 <= int(m[1]) <= int(m[2]):
+        raise InvalidParameterError(
+            f"verify target {target!r}: expected selection or "
+            "selection:LO-HI with integers 7 <= LO <= HI")
+    return int(m[1]), int(m[2])
 
 
 def _verify_selection(lo: int, hi: int, eps: float) -> dict:
@@ -202,11 +215,7 @@ def _verify_census(eps: float, out_catalog: Optional[str]) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target.startswith("selection"):
-        lo, hi = 7, 100
-        if ":" in target:
-            span = target.split(":", 1)[1]
-            lo, hi = (int(p) for p in span.split("-", 1))
-        report = _verify_selection(lo, hi, args.eps)
+        report = _verify_selection(*_selection_range(target), args.eps)
     elif target == "6gon":
         report = _verify_6gon(args.eps)
     elif target == "triple":

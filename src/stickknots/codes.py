@@ -5,14 +5,16 @@ every crossing give a *signed* Gauss code: the crossing visits in walk
 order, each marked over or under and carrying the crossing's writhe sign
 (+1 when the over strand passes from the right of the under strand to its
 left).  ``gauss_to_pd`` turns that code, and nothing else, into a planar-diagram
-(PD) code; ``_state_loops`` counts the loops of each of its 2^c smoothing
-states; ``_bracket`` weights those counts into the Kauffman bracket, and
-the writhe normalization gives the Jones polynomial.  ``BracketTable``
-keeps one projection's loop counts and reweights them for each crossing
-assignment.  The knot is classified among the small types (unknot, 3_1,
-4_1, 5_1, 5_2) that the stick constructions can produce, against reference
+(PD) code.  ``_bracket``, the one bracket engine, adds the crossings one at
+a time to a growing tangle and keeps the smoothings of each pairing of its
+open arc ends, so its cost follows the tangle's boundary rather than 2^c
+(Bar-Natan, "Fast Khovanov homology computations", JKTR 2007); the writhe
+normalization gives the Jones polynomial.  ``BracketTable`` keeps one
+projection's PD code and brackets each crossing assignment as a flip of
+it.  The knot is classified among the small types (unknot, 3_1, 4_1, 5_1,
+5_2) that the stick constructions can produce, against reference
 polynomials computed in-process from standard minimal PD fixtures and
-validated by determinants.
+validated by determinants; tricolorability is read off the determinant.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .geometry import Diagram, InvalidParameterError, SizeError
+from .geometry import Diagram, InvalidParameterError
 
 __all__ = [
     "CrossingAssignment",
@@ -55,9 +55,6 @@ __all__ = [
     "CINQUEFOIL_PD",
     "THREE_TWIST_PD",
 ]
-
-MAX_STATE_SUM_CROSSINGS = 16
-
 
 # ---------------------------------------------------------------------------
 # Crossing assignments and Gauss codes
@@ -303,97 +300,71 @@ _PAIR_A = ((1, 2), (3, 0))
 _PAIR_B = ((0, 1), (2, 3))
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        """Join the classes of i and j; False if they were already one."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[ri] = rj
-        return True
-
-
-def _state_loops(pd: PDCode) -> np.ndarray:
-    """Loop count of every smoothing state, indexed by the state's bits.
-
-    Bit k set chooses the B-pairing at crossing k.  A smoothing joins the
-    four arcs of each crossing in two pairs, so the loops are the connected
-    components of the arcs.  This is the only 2^c loop of the bracket.
-    """
-    c = len(pd)
-    if c > MAX_STATE_SUM_CROSSINGS:
-        raise SizeError(f"state sum over {c} crossings exceeds the "
-                        f"2^{MAX_STATE_SUM_CROSSINGS} cap")
-    if c == 0:
-        return np.ones(1, dtype=np.uint8)  # a crossingless diagram is one loop
-    uses = Counter(arc for tup in pd for arc in tup)
-    for arc, times in sorted(uses.items()):
-        if times != 2:
-            raise InvalidParameterError(
-                f"arc label {arc} appears {times} times (expected 2)")
-    node = {arc: i for i, arc in enumerate(uses)}
-    joins = [[[(node[tup[i]], node[tup[j]]) for i, j in pairing]
-              for pairing in (_PAIR_A, _PAIR_B)] for tup in pd]
-    n_arcs = len(node)
-    loops = np.empty(1 << c, dtype=np.uint8)
-    for state in range(1 << c):
-        uf = _UnionFind(n_arcs)
-        merged = 0
-        for k in range(c):
-            for i, j in joins[k][state >> k & 1]:
-                merged += uf.union(i, j)
-        loops[state] = n_arcs - merged
-    return loops
-
-
-@functools.lru_cache(maxsize=None)
-def _state_popcounts(c: int) -> np.ndarray:
-    """Number of B-smoothings in each of the 2^c states."""
-    idx = np.arange(1 << c, dtype=np.uint32)
-    pop = np.zeros(1 << c, dtype=np.uint8)
-    for bit in range(c):
-        pop += ((idx >> bit) & 1).astype(np.uint8)
-    pop.flags.writeable = False  # shared by every caller through the cache
-    return pop
-
-
 @functools.lru_cache(maxsize=None)
 def _loop_power(k: int) -> LaurentPoly:
     """LOOP_FACTOR ** k."""
     return LaurentPoly.one() if k == 0 else _loop_power(k - 1) * LOOP_FACTOR
 
 
-def _bracket(loops: np.ndarray, flip: int) -> LaurentPoly:
-    """State sum of A^(#A - #B) * LOOP_FACTOR^(loops - 1) over all states.
+def _bracket(pd: PDCode, flip: int) -> LaurentPoly:
+    """Kauffman bracket of a PD code by contraction into a growing tangle.
 
-    ``loops`` comes from ``_state_loops``; bit k of ``flip`` swaps the A and
-    B smoothings at crossing k, which is what flipping its over/under does.
+    Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
+    what flipping its over/under does.  Crossings join the tangle one at a
+    time, each time the one sharing the most arcs with the tangle's open
+    ends (ties to the lowest index), which keeps the boundary short on
+    planar diagrams.  A state is a pairing of the open ends: ``partners``
+    lists, for each end in ``ends`` order, the end the tangle joins it to.
+    Each state counts its smoothings by (#A - #B, closed loops), packed
+    into one key (#A - #B) * stride + loops.  Smoothing a crossing joins
+    its arc ends in two pairs; each join either closes a loop or
+    reconnects two partners.
     """
-    c = loops.size.bit_length() - 1
-    pop = _state_popcounts(c)
-    if flip:
-        pop = pop[np.arange(loops.size, dtype=np.uint32) ^ np.uint32(flip)]
-    width = c + 2
-    key = pop.astype(np.int32) * width + loops.astype(np.int32)
-    counts = np.bincount(key, minlength=width * (c + 1))
-    total = LaurentPoly.zero()
-    for flat in np.nonzero(counts)[0]:
-        b, n_loops = divmod(int(flat), width)
-        total = total + _loop_power(n_loops - 1) * LaurentPoly.monomial(
-            int(counts[flat]), c - 2 * b)
-    return total
+    uses = Counter(arc for tup in pd for arc in tup)
+    for arc, times in sorted(uses.items()):
+        if times != 2:
+            raise InvalidParameterError(
+                f"arc label {arc} appears {times} times (expected 2)")
+    if not pd:
+        return LaurentPoly.one()  # a crossingless diagram is one loop
+    stride = 2 * len(pd) + 1  # each crossing closes at most two loops
+    seen: Counter = Counter()
+    ends: list[int] = []
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    left = list(range(len(pd)))
+    while left:
+        k = max(left, key=lambda j: (sum(seen[x] == 1 for x in pd[j]), -j))
+        left.remove(k)
+        tup = pd[k]
+        seen.update(tup)
+        new_ends = [x for x in ends + list(tup) if seen[x] == 1]
+        smoothings = ((stride, _PAIR_A), (-stride, _PAIR_B))
+        if flip >> k & 1:
+            smoothings = ((stride, _PAIR_B), (-stride, _PAIR_A))
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
+        for partners, counts in states.items():
+            for shift, pairing in smoothings:
+                partner = dict(zip(ends, partners))
+                delta = shift
+                for i, j in pairing:
+                    x, y = tup[i], tup[j]
+                    if x == y or partner.get(x) == y:
+                        partner.pop(x, None)
+                        partner.pop(y, None)
+                        delta += 1  # one more closed loop
+                    else:
+                        a, b = partner.pop(x, x), partner.pop(y, y)
+                        partner[a], partner[b] = b, a
+                out = grown.setdefault(tuple(partner[x] for x in new_ends), {})
+                for key, n in counts.items():
+                    out[key + delta] = out.get(key + delta, 0) + n
+        states, ends = grown, new_ends
+    coeffs: dict[int, int] = {}
+    for key, n in states[()].items():
+        exp, loops = divmod(key, stride)
+        for e, c in _loop_power(loops - 1).coeffs.items():
+            coeffs[exp + e] = coeffs.get(exp + e, 0) + n * c
+    return LaurentPoly(coeffs)
 
 
 def _normalize(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
@@ -402,8 +373,8 @@ def _normalize(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
 
 
 def kauffman_bracket(pd: PDCode) -> LaurentPoly:
-    """Full state-sum Kauffman bracket (2^c states)."""
-    return _bracket(_state_loops(pd), 0)
+    """Kauffman bracket of a PD code."""
+    return _bracket(pd, 0)
 
 
 def jones(pd: PDCode, writhe: int) -> LaurentPoly:
@@ -424,66 +395,12 @@ def determinant(pd: PDCode) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Tricolorability
-
-
 def tricolorable(g: GaussCode) -> bool:
-    """Whether the arcs admit a non-constant 3-coloring.
+    """Whether the knot admits a non-constant 3-coloring.
 
-    Arcs run between consecutive under-passes; each crossing imposes
-    2*(over arc) = (incoming under arc) + (outgoing under arc) mod 3.
+    By Fox's criterion this holds exactly when 3 divides the determinant.
     """
-    n = len(g.entries)
-    c = n // 2
-    if c == 0:
-        return False
-    unders = [i for i, e in enumerate(g.entries) if not e.over]
-
-    def arc_of(pos: int) -> int:
-        """Index of the arc a visit lies on (arcs delimited by under-passes)."""
-        cnt = sum(1 for u in unders if u <= pos)
-        return cnt % c
-
-    rows = []
-    for k in range(c):
-        upos = next(i for i, e in enumerate(g.entries)
-                    if e.crossing == k and not e.over)
-        opos = next(i for i, e in enumerate(g.entries)
-                    if e.crossing == k and e.over)
-        out_arc = arc_of(upos)
-        in_arc = (out_arc - 1) % c
-        over_arc = arc_of(opos)
-        row = [0] * c
-        row[over_arc] = (row[over_arc] + 2) % 3
-        row[in_arc] = (row[in_arc] - 1) % 3
-        row[out_arc] = (row[out_arc] - 1) % 3
-        rows.append(row)
-    rank = _gf3_rank(rows)
-    return c - rank >= 2
-
-
-def _gf3_rank(rows: list[list[int]]) -> int:
-    mat = [row[:] for row in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][col] % 3), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 if mat[rank][col] % 3 == 1 else 2
-        mat[rank] = [(x * inv) % 3 for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][col] % 3:
-                f = mat[r][col] % 3
-                mat[r] = [(x - f * y) % 3 for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return determinant(gauss_to_pd(g)) % 3 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -693,33 +610,31 @@ def alternating_assignment(d: Diagram) -> Optional[CrossingAssignment]:
 
 
 # ---------------------------------------------------------------------------
-# Shared state table: classify many assignments of one projection
+# Classify many assignments of one projection
 
 
 class BracketTable:
-    """Kauffman state data of one projection, shared across assignments.
+    """One projection's PD code, shared across its crossing assignments.
 
-    The loop count of a smoothing state does not depend on over/under
-    choices; only the A/B labeling of the two smoothings at each crossing
-    does, and flipping a crossing swaps them.  Precomputing every state's
-    loop count therefore lets the bracket of each of the 2^c assignments be
-    assembled by a cheap reweighting instead of a fresh state sum.  The
-    table is built with every ``edge_a`` under, so the bits of an
-    assignment are exactly the crossings whose smoothings swap.
+    Arc labels and the contraction order do not depend on over/under
+    choices; flipping a crossing only swaps its A and B smoothings.  The
+    PD code is built once with every ``edge_a`` under, so the bits of an
+    assignment are exactly the crossings whose smoothings swap, and each
+    bracket is one contraction of that code.
     """
 
     def __init__(self, d: Diagram) -> None:
         base = CrossingAssignment((False,) * d.n_crossings)
         self.diagram = d
         self.n_crossings = d.n_crossings
-        self._loops = _state_loops(gauss_to_pd(extract_gauss_code(d, base)))
+        self._pd = gauss_to_pd(extract_gauss_code(d, base))
 
     def writhe(self, a: CrossingAssignment) -> int:
         return diagram_writhe(self.diagram, a)
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
         _check_assignment(self.diagram, a)
-        return _bracket(self._loops, a.bits)
+        return _bracket(self._pd, a.bits)
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
         return _normalize(self.bracket(a), self.writhe(a))

@@ -469,22 +469,44 @@ class Diagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Diagram":
-        vectors = None
-        if obj.get("vectors") is not None:
-            vectors = VectorSet.from_pairs((float(x), float(y))
-                                           for x, y in obj["vectors"])
-        ordering = None
-        if obj.get("ordering") is not None:
-            ordering = Ordering(tuple(int(i) for i in obj["ordering"]))
-        walk = Walk(tuple(Vec2(float(x), float(y)) for x, y in obj["vertices"]))
-        return cls(
-            walk=walk,
-            crossings=tuple(Crossing.from_json(c) for c in obj["crossings"]),
-            degeneracies=tuple(Degeneracy.from_json(d)
-                               for d in obj.get("degeneracies", [])),
-            vectors=vectors,
-            ordering=ordering,
-        )
+        """Rebuild a diagram from ``to_json`` output.
+
+        Raises InvalidParameterError when a field is missing or malformed,
+        the last vertex is not the first, a crossing names an edge outside
+        the walk or has a parameter outside (0, 1].  Degeneracy indices are
+        not range-checked: retrace pairs index the walk before collapse.
+        """
+        try:
+            vectors = None
+            if obj.get("vectors") is not None:
+                vectors = VectorSet.from_pairs((float(x), float(y))
+                                               for x, y in obj["vectors"])
+            ordering = None
+            if obj.get("ordering") is not None:
+                ordering = Ordering(tuple(int(i) for i in obj["ordering"]))
+            walk = Walk(tuple(Vec2(float(x), float(y))
+                              for x, y in obj["vertices"]))
+            crossings = tuple(Crossing.from_json(c) for c in obj["crossings"])
+            degeneracies = tuple(Degeneracy.from_json(d)
+                                 for d in obj.get("degeneracies", []))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"malformed diagram JSON: {exc!r}") from exc
+        m = walk.n_edges
+        if m < 1 or walk.vertices[-1] != walk.vertices[0]:
+            raise InvalidParameterError(
+                "diagram needs two or more vertices, the last equal to "
+                "the first")
+        for c in crossings:
+            if c.edge_a < 0 or c.edge_b >= m:
+                raise InvalidParameterError(
+                    f"crossing edges ({c.edge_a}, {c.edge_b}) outside "
+                    f"0..{m - 1}")
+            if not (0.0 < c.t_a <= 1.0 and 0.0 < c.t_b <= 1.0):
+                raise InvalidParameterError(
+                    f"crossing parameters ({c.t_a}, {c.t_b}) outside (0, 1]")
+        return cls(walk=walk, crossings=crossings, degeneracies=degeneracies,
+                   vectors=vectors, ordering=ordering)
 
 
 # ---------------------------------------------------------------------------

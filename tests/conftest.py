@@ -133,6 +133,67 @@ def exact_vertex_contacts(vertices: list[tuple[int, int]]):
     return contacts, overlap
 
 
+# ---------------------------------------------------------------------------
+# Exact 2^c state-sum bracket, independent of stickknots.codes
+#
+# Ports of a PD tuple run counterclockwise from the incoming under-strand.
+# The A-smoothing joins ports 1-2 and 3-0, the B-smoothing 0-1 and 2-3.
+
+_SMOOTHING_A = (3, 2, 1, 0)  # port -> the port it is joined to
+_SMOOTHING_B = (1, 0, 3, 2)
+
+
+def _poly_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def state_sum_bracket(pd) -> dict[int, int]:
+    """Kauffman bracket of a PD code as {exponent of A: nonzero coefficient}.
+
+    Sums A^(#A - #B) * (-A^2 - A^-2)^(loops - 1) over all 2^c smoothing
+    states.  A state's loops are counted by following arcs through it:
+    port 4k + i is joined to its smoothing partner at crossing k, then to
+    the other end of the arc that leaves there.
+    """
+    c = len(pd)
+    if c == 0:
+        return {0: 1}
+    ends: dict[int, list[int]] = {}
+    for k, tup in enumerate(pd):
+        for i, arc in enumerate(tup):
+            ends.setdefault(arc, []).append(4 * k + i)
+    arc_end = [0] * (4 * c)
+    for first, second in ends.values():
+        arc_end[first], arc_end[second] = second, first
+    loop_power = [{0: 1}]
+    for _ in range(2 * c):
+        loop_power.append(_poly_mul(loop_power[-1], {2: -1, -2: -1}))
+    total: dict[int, int] = {}
+    for state in range(1 << c):
+        joined = [4 * k + (_SMOOTHING_B if state >> k & 1 else _SMOOTHING_A)[i]
+                  for k in range(c) for i in range(4)]
+        unseen = [True] * (4 * c)
+        loops = 0
+        for start in range(4 * c):
+            if not unseen[start]:
+                continue
+            loops += 1
+            port = start
+            while True:
+                unseen[port] = unseen[joined[port]] = False
+                port = arc_end[joined[port]]
+                if port == start:
+                    break
+        shift = c - 2 * bin(state).count("1")
+        for e, coeff in loop_power[loops - 1].items():
+            total[e + shift] = total.get(e + shift, 0) + coeff
+    return {e: coeff for e, coeff in total.items() if coeff}
+
+
 def random_integer_walk(rng: random.Random, n: int,
                         span: int = 7) -> list[tuple[int, int]]:
     """A random closed integer walk of n steps (last step closes the loop)."""

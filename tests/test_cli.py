@@ -120,9 +120,27 @@ def test_usage_errors_exit_2(capsys):
     assert main(["classify"]) == 2
     assert main(["verify", "6gon", "--eps", "-1"]) == 2
     assert main(["frobnicate"]) == 2
+    # selection takes no suffix or exactly :LO-HI with 7 <= LO <= HI
+    for target in ("selection:10-8", "selectionXYZ:12-12", "selection:9"):
+        assert main(["verify", target]) == 2
     # the 7-gon ordering has 3 crossings, so its assignments are 0..7
     for command in ("classify", "render"):
         for bits in ("99", "-1"):
             assert main([command, "--n", "7", "--ordering", "0,2,4,1,6,3,5",
                          "--assignment", bits]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_malformed_input_diagram_exits_2(tmp_path, capsys):
+    # a missing field, and a crossing on edge 7 of a 3-edge walk
+    bad_edge = {"vertices": [[0, 0], [1, 0], [0, 1], [0, 0]],
+                "crossings": [{"edge_a": 0, "edge_b": 7, "t_a": 0.5,
+                               "t_b": 0.5, "point": [0.5, 0.0], "sign": 1}]}
+    for name, obj in (("empty.json", {}), ("bad_edge.json", bad_edge)):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        for command in ("classify", "render"):
+            assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed diagram JSON" in err
+    assert "outside 0..2" in err

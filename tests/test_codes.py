@@ -1,11 +1,11 @@
 """Diagram codes, bracket polynomial, classification."""
 
+import random
+
 import pytest
 
-from stickknots import codes
 from stickknots.geometry import (
     Ordering,
-    SizeError,
     diagram_from_ordering,
     regular_ngon,
 )
@@ -23,6 +23,7 @@ from stickknots.codes import (
     LaurentPoly,
     alternating_assignment,
     classify,
+    classify_jones,
     determinant,
     diagram_writhe,
     extract_gauss_code,
@@ -35,7 +36,7 @@ from stickknots.codes import (
     tricolorable,
 )
 
-from conftest import walk_from_integer_vertices
+from conftest import state_sum_bracket, walk_from_integer_vertices
 from stickknots.geometry import detect_crossings
 
 TREFOIL_7GON = Ordering((0, 1, 3, 5, 6, 2, 4))
@@ -244,22 +245,80 @@ def test_bracket_table_spot_check_large_projection():
         assert table.jones(a) == jones(pd, diagram_writhe(d, a))
 
 
-def test_state_sum_cap_raises_before_enumerating_states(monkeypatch):
+def test_27_crossing_star_brackets_without_a_cap():
     d = _diagram(9, STAR_9_4)
     assert not d.is_degenerate and d.n_crossings == 27
-    a = CrossingAssignment.from_bits(27, 0)
-    pd = gauss_to_pd(extract_gauss_code(d, a))
+    table = BracketTable(d)
+    rng = random.Random(27)
+    assignments = [CrossingAssignment.from_bits(27, 0), alternating_assignment(d)]
+    assignments += [CrossingAssignment.from_bits(27, rng.randrange(1 << 27))
+                    for _ in range(3)]
+    for a in assignments:
+        pd = gauss_to_pd(extract_gauss_code(d, a))
+        j = jones(pd, diagram_writhe(d, a))
+        assert j.evaluate(1) == 1
+        flipped = a.flipped()
+        pd_m = gauss_to_pd(extract_gauss_code(d, flipped))
+        assert jones(pd_m, diagram_writhe(d, flipped)) == j.mirror()
+        assert determinant(pd) % 2 == 1
+        assert table.jones(a) == j
+        assert classify(d, a) == table.classify(a) == classify_jones(j)
 
-    def no_state(*args):
-        raise AssertionError("a smoothing state was enumerated")
 
-    monkeypatch.setattr(codes, "_UnionFind", no_state)
-    with pytest.raises(SizeError):
-        classify(d, a)
-    with pytest.raises(SizeError):
-        BracketTable(d)
-    with pytest.raises(SizeError):
-        kauffman_bracket(pd)
+# ---------------------------------------------------------------------------
+# The bracket engine against the exact 2^c state sum
+
+
+def test_bracket_equals_state_sum_on_fixtures_and_kink():
+    verts = [(0, 0), (4, 0), (4, 2), (2, 2), (2, -2), (0, -2)]
+    kink = detect_crossings(walk_from_integer_vertices(verts))
+    pds = [TREFOIL_PD, FIGURE_EIGHT_PD, CINQUEFOIL_PD, THREE_TWIST_PD]
+    pds += [gauss_to_pd(extract_gauss_code(kink, CrossingAssignment.from_bits(
+        1, bits))) for bits in (0, 1)]
+    for pd in pds:
+        assert kauffman_bracket(pd).coeffs == state_sum_bracket(pd)
+
+
+def test_bracket_equals_state_sum_on_triple_closures():
+    from stickknots.triple import all_labelings, assemble_pd, enumerate_closures
+    n = 0
+    for scheme in enumerate_closures():
+        for label in all_labelings():
+            for over_ad in (False, True):
+                pd, _ = assemble_pd(scheme, label, over_ad)
+                assert kauffman_bracket(pd).coeffs == state_sum_bracket(pd)
+                n += 1
+    assert n == 288
+
+
+def _assert_table_and_bracket_match_state_sum(d, assignments):
+    table = BracketTable(d)
+    for a in assignments:
+        pd = gauss_to_pd(extract_gauss_code(d, a))
+        want = state_sum_bracket(pd)
+        assert kauffman_bracket(pd).coeffs == want
+        assert table.bracket(a).coeffs == want
+
+
+def test_bracket_equals_state_sum_on_pentagram_assignments():
+    d = _diagram(5, PENTAGRAM)
+    _assert_table_and_bracket_match_state_sum(
+        d, [CrossingAssignment.from_bits(5, bits) for bits in range(32)])
+
+
+def test_bracket_equals_state_sum_on_7gon_and_small_8gon_classes():
+    from stickknots.constructions import canonical_ordering_classes
+    rng = random.Random(78)
+    for n, max_crossings in ((7, None), (8, 10)):
+        vs = regular_ngon(n)
+        for ordering, _ in canonical_ordering_classes(n):
+            d = diagram_from_ordering(vs, ordering)
+            c = d.n_crossings
+            if d.is_degenerate or max_crossings is not None and c > max_crossings:
+                continue
+            sample = rng.sample(range(1 << c), min(1 << c, 2))
+            _assert_table_and_bracket_match_state_sum(
+                d, [CrossingAssignment.from_bits(c, bits) for bits in sample])
 
 
 # ---------------------------------------------------------------------------

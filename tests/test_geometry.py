@@ -242,6 +242,30 @@ def test_flat_triangle_vertex_on_opposite_edge_is_unresolved():
     ]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="detect_crossings does not flag three edges crossing at one "
+    "point: the three crossings get equal parameters on each edge, and the "
+    "Gauss code breaks those ties by crossing index, which need not match "
+    "any planar perturbation")
+def test_three_edges_through_one_point_are_flagged():
+    from stickknots.codes import (CrossingAssignment, determinant,
+                                  extract_gauss_code, gauss_to_pd)
+    # edges 1, 4 and 7 all pass through (1.266044443, 0.223237794)
+    d = diagram_from_ordering(regular_ngon(9),
+                              Ordering((0, 1, 3, 6, 8, 7, 2, 4, 5)))
+
+    def odd_determinant(bits):
+        a = CrossingAssignment.from_bits(d.n_crossings, bits)
+        try:
+            return determinant(gauss_to_pd(extract_gauss_code(d, a))) % 2 == 1
+        except ArithmeticError:
+            return False
+
+    assert d.is_degenerate or all(
+        odd_determinant(bits) for bits in range(1 << d.n_crossings))
+
+
 def test_crossing_list_is_sorted_and_deduplicated():
     d = diagram_from_ordering(regular_ngon(8), Ordering((0, 3, 6, 1, 4, 7, 2, 5)))
     keys = [(c.edge_a, c.t_a, c.edge_b, c.t_b) for c in d.crossings]
@@ -352,6 +376,29 @@ def test_diagram_json_round_trip():
     back = Diagram.from_json(obj)
     assert back.to_json() == obj
     assert back.n_crossings == d.n_crossings
+
+
+def test_diagram_from_json_rejects_malformed_input():
+    obj = diagram_from_ordering(
+        regular_ngon(7), Ordering((0, 1, 3, 5, 6, 2, 4))).to_json()
+    m = len(obj["vertices"]) - 1
+
+    def with_crossing(**fields):
+        return {**obj, "crossings": [{**obj["crossings"][0], **fields}]}
+
+    bad = [
+        {k: v for k, v in obj.items() if k != "crossings"},
+        {**obj, "crossings": [{"edge_a": 0}]},
+        {**obj, "vertices": obj["vertices"][:-1]},
+        with_crossing(edge_b=m),
+        with_crossing(edge_a=-1),
+        with_crossing(t_a=0.0),
+        with_crossing(t_b=1.5),
+        [],
+    ]
+    for b in bad:
+        with pytest.raises(InvalidParameterError):
+            Diagram.from_json(b)
 
 
 # ---------------------------------------------------------------------------
