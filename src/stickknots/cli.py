@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Optional
@@ -381,8 +382,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.eps <= 0.0:
-        sys.stderr.write("error: --eps must be positive\n")
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        sys.stderr.write("error: --eps must be positive and finite\n")
         return 2
     try:
         return args.func(args)

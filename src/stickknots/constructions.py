@@ -32,7 +32,6 @@ from .codes import (
     BracketTable,
     CrossingAssignment,
     KnotClass,
-    UNKNOT,
     alternating_assignment,
     classify,
     merge_crossingless_runs,
@@ -582,11 +581,8 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
                 merged_sticks=d.walk.n_edges, orbit=orbit))
             continue
         feas = feasible_assignments(d)
-        if d.n_crossings >= 3 and feas:
-            table = BracketTable(d)
-            labels = sorted(table.classify(a).label for a, _ in feas)
-        else:
-            labels = sorted(UNKNOT.label for _ in feas)
+        table = BracketTable(d)
+        labels = sorted(table.classify(a).label for a, _ in feas)
         records.append(CatalogRecord(
             n=n, ordering=ordering.perm, crossings=d.n_crossings,
             feasible=len(feas), classes=tuple(labels), degenerate=False,

@@ -6,6 +6,13 @@ heights is feasible: at each crossing, the over edge's interpolated height
 must exceed the under edge's.  The system is homogeneous, so feasibility is
 scale invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
 that reformulation is solved as a linear program.
+
+Flipping a crossing negates its row, so the feasible assignments of one
+diagram are the cells of a central hyperplane arrangement, one hyperplane
+per crossing.  :func:`feasible_assignments` enumerates those cells one
+crossing at a time, solving an LP only where a cell's witness heights do
+not already decide a child, so its cost follows the number of feasible
+assignments rather than 2^c.
 """
 
 from __future__ import annotations
@@ -164,6 +171,17 @@ def constraints_from_assignment(d: Diagram, a: CrossingAssignment,
     return HeightSystem(constraints=tuple(constraints), n_vars=n_vars)
 
 
+def _accepted_margin(A: np.ndarray, z: np.ndarray) -> Optional[float]:
+    """The smallest slack of heights z on the rows of A, or None unless the
+    heights pass as a certificate: every |z_i| within
+    MAX_CERTIFICATE_SCALE and every slack strictly positive."""
+    if float(np.max(np.abs(z), initial=0.0)) > MAX_CERTIFICATE_SCALE:
+        return None
+    margin = float(np.min(A @ z))
+    # Numerical safety net; HiGHS guarantees >= 1 - tiny for its solutions.
+    return margin if margin > 0.0 else None
+
+
 def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     """Find heights satisfying every strict inequality, or None.
 
@@ -199,12 +217,8 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     if res.status != 0:
         raise RuntimeError(f"linear program did not converge: {res.message}")
     z_active = res.x[:n] - res.x[n:]
-    if float(np.max(np.abs(z_active), initial=0.0)) > MAX_CERTIFICATE_SCALE:
-        return None
-    slacks = A @ z_active
-    margin = float(np.min(slacks))
-    if margin <= 0.0:
-        # Numerical safety net; HiGHS guarantees >= 1 - tiny here.
+    margin = _accepted_margin(A, z_active)
+    if margin is None:
         return None
     z = [0.0] * sys.n_vars
     for i, j in col.items():
@@ -227,30 +241,72 @@ def feasible_assignments(d: Diagram,
                          ) -> list[tuple[CrossingAssignment, HeightCertificate]]:
     """All over/under assignments realizable by heights, with certificates.
 
-    Flipping every crossing negates the system, so an assignment and its
-    total flip are feasible together; the flip's certificate is the
-    negated heights.  The enumeration exploits that to halve the solves.
+    Flipping crossing k negates row r_k of the system with every ``edge_a``
+    over, so the feasible assignments are the cells of the central
+    arrangement {r_k . z = 0}.  Crossings are added one at a time and each
+    live cell keeps witness heights.  Stepped a little along +-r_k towards
+    a child's side of the new hyperplane and rescaled to margin 1, the
+    witness decides that child without an LP when it passes
+    :func:`solve_feasibility`'s own acceptance.  It can decide the child on
+    its own side and, when it lies on or near the hyperplane, both
+    children; a child it does not decide is solved, on its signed rows so
+    far.  Crossing 0 is fixed with ``edge_a`` over, and the total flips
+    are the antipodal cells, with negated heights.  Results are in
+    ascending bits.
     """
     d.require_clean()
     c = d.n_crossings
-    if c > 16:
-        raise SizeError(f"2^{c} assignments exceed the enumeration cap")
-    solved: dict[int, Optional[HeightCertificate]] = {}
-    out = []
-    for bits in range(1 << c):
-        comp = ((1 << c) - 1) ^ bits
-        if comp in solved:
-            prev = solved[comp]
-            cert = None if prev is None else HeightCertificate(
-                z=tuple(-v for v in prev.z), margin=prev.margin)
-        else:
-            a = CrossingAssignment.from_bits(c, bits)
-            cert = solve_feasibility(
-                constraints_from_assignment(d, a, split_vertices))
-        solved[bits] = cert
-        if cert is not None:
-            out.append((CrossingAssignment.from_bits(c, bits), cert))
-    return out
+    base = constraints_from_assignment(
+        d, CrossingAssignment((True,) * c), split_vertices)
+    if c == 0:
+        return [(CrossingAssignment(()), solve_feasibility(base))]
+    # signed[k][bit]: the row of crossing k with edge_a over iff bit is 1
+    signed = [(HeightConstraint(tuple((i, -w) for i, w in r.coeffs), k), r)
+              for k, r in enumerate(base.constraints)]
+    R = np.zeros((c, base.n_vars))
+    for k, r in enumerate(base.constraints):
+        for i, w in r.coeffs:
+            R[k, i] = w
+
+    def solve(bits: int, rows: int):
+        cert = solve_feasibility(HeightSystem(
+            tuple(signed[j][bits >> j & 1] for j in range(rows)),
+            base.n_vars))
+        return None if cert is None else (np.array(cert.z), cert.margin)
+
+    # |r_j . r_k|: a step of margin / (2 max_j |r_j . r_k|) along r_k keeps
+    # every earlier slack above margin / 2
+    gram = np.abs(R @ R.T)
+    # a live cell: (bits, row signs, witness heights, margin)
+    root = solve(1, 1)
+    cells = [] if root is None else [(1, np.ones(1), *root)]
+    for k in range(1, c):
+        step = R[k] / (2.0 * float(np.max(gram[k, :k + 1])))
+        grown = []
+        for bits, signs, z, margin in cells:
+            for bit in (0, 1):
+                child = bits | bit << k
+                child_signs = np.append(signs, 2.0 * bit - 1.0)
+                A = R[:k + 1] * child_signs[:, None]
+                w = z + child_signs[-1] * margin * step
+                slack = float(np.min(A @ w))
+                witness = None
+                if slack > 0.0:
+                    m = _accepted_margin(A, w / slack)
+                    if m is not None:
+                        witness = (w / slack, m)
+                if witness is None:
+                    witness = solve(child, k + 1)
+                if witness is not None:
+                    grown.append((child, child_signs, *witness))
+        cells = grown
+    full = (1 << c) - 1
+    found = sorted([(bits, z, m) for bits, _, z, m in cells]
+                   + [(full ^ bits, -z, m) for bits, _, z, m in cells],
+                   key=lambda cell: cell[0])
+    return [(CrossingAssignment.from_bits(c, bits),
+             HeightCertificate(z=tuple(float(x) for x in z), margin=m))
+            for bits, z, m in found]
 
 
 def vertical_stick_augmentation(d: Diagram, vertices: frozenset[int]) -> int:

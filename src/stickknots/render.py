@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from typing import Mapping, Optional
+from html import escape
 
 from .geometry import Diagram, InvalidParameterError
 from .codes import CrossingAssignment
@@ -56,10 +57,16 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
     With an assignment, each under strand is drawn with a gap at its
     crossings; without one, the bare projection is drawn.  `vertex_labels`
     adds text annotations next to the chosen vertices (for example height
-    markers).  Rendering is deterministic: equal inputs give equal bytes.
+    markers); each key must be a walk vertex, and the text is XML-escaped.
+    Rendering is deterministic: equal inputs give equal bytes.
     """
     if assignment is not None and len(assignment) != d.n_crossings:
         raise InvalidParameterError("assignment does not cover the diagram")
+    m = d.walk.n_edges
+    for v in vertex_labels or ():
+        if not 0 <= v < m:
+            raise InvalidParameterError(
+                f"label vertex {v} outside 0..{m - 1}")
     verts = d.walk.vertices
     xs = [p.x for p in verts]
     ys = [p.y for p in verts]
@@ -100,7 +107,7 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
                  'fill="black">')
     center_x = (lo_x + hi_x) / 2.0
     center_y = (lo_y + hi_y) / 2.0
-    for v in range(d.walk.n_edges):
+    for v in range(m):
         p = verts[v]
         # nudge labels away from the walk, outward from the bounding center
         dx, dy = p.x - center_x, p.y - center_y
@@ -111,7 +118,7 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
         x, y = _fmt((lx - lo_x) * scale), _fmt((hi_y - ly) * scale)
         text = str(v)
         if vertex_labels and v in vertex_labels:
-            text = f"{v}:{vertex_labels[v]}"
+            text = f"{v}:{escape(vertex_labels[v], quote=False)}"
         lines.append(f'<text x="{x}" y="{y}">{text}</text>')
     lines.append('</g>')
     lines.append('</svg>')

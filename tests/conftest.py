@@ -5,8 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from stickknots.geometry import Vec2, VectorSet, Walk
-from stickknots.heights import HeightSystem
+from stickknots.codes import CrossingAssignment
+from stickknots.geometry import Diagram, Vec2, VectorSet, Walk
+from stickknots.heights import (
+    HeightSystem,
+    constraints_from_assignment,
+    solve_feasibility,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +53,24 @@ def fm_feasible(system: HeightSystem) -> bool:
         if not rows:
             return True
     return not rows
+
+
+# ---------------------------------------------------------------------------
+# Brute-force feasible assignments: one LP per assignment, in ascending bits.
+# The reference for the cell enumeration in heights.feasible_assignments.
+
+
+def brute_feasible_assignments(d: Diagram,
+                               split_vertices: frozenset[int] = frozenset()):
+    c = d.n_crossings
+    out = []
+    for bits in range(1 << c):
+        a = CrossingAssignment.from_bits(c, bits)
+        cert = solve_feasibility(
+            constraints_from_assignment(d, a, split_vertices))
+        if cert is not None:
+            out.append((a, cert))
+    return out
 
 
 # ---------------------------------------------------------------------------

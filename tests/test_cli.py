@@ -1,6 +1,7 @@
 """Command-line behavior: targets, exit codes, determinism."""
 
 import json
+from xml.etree import ElementTree
 
 from stickknots.cli import main
 from stickknots.geometry import detect_crossings
@@ -108,6 +109,23 @@ def test_render_deterministic(tmp_path, capsys):
     assert out1.read_text().startswith("<?xml")
 
 
+def test_render_escapes_label_text(tmp_path):
+    out = tmp_path / "labels.svg"
+    assert main(["render", "--n", "5", "--ordering", "0,3,1,4,2",
+                 "--labels", "0:a<b&c", "--out", str(out)]) == 0
+    root = ElementTree.parse(out).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "0:a<b&c"
+
+
+def test_render_rejects_labels_outside_the_walk(tmp_path, capsys):
+    for labels in ("99:L", "-1:X", "5:L"):
+        assert main(["render", "--n", "5", "--ordering", "0,3,1,4,2",
+                     "--labels", labels,
+                     "--out", str(tmp_path / "x.svg")]) == 2
+    assert "outside 0..4" in capsys.readouterr().err
+
+
 def test_report_file_byte_identical(tmp_path):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:
@@ -118,7 +136,10 @@ def test_report_file_byte_identical(tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["verify", "no-such-target"]) == 2
     assert main(["classify"]) == 2
-    assert main(["verify", "6gon", "--eps", "-1"]) == 2
+    for eps in ("-1", "0", "nan", "inf"):
+        assert main(["verify", "6gon", "--eps", eps]) == 2
+    assert main(["classify", "--n", "7", "--ordering", "0,1,3,5,6,2,4",
+                 "--assignment", "0", "--eps", "nan"]) == 2
     assert main(["frobnicate"]) == 2
     # selection takes no suffix or exactly :LO-HI with 7 <= LO <= HI
     for target in ("selection:10-8", "selectionXYZ:12-12", "selection:9"):

@@ -13,6 +13,7 @@ from stickknots.geometry import (
     regular_ngon,
 )
 from stickknots.codes import CrossingAssignment, alternating_assignment
+from stickknots import heights
 from stickknots.heights import (
     HeightCertificate,
     HeightConstraint,
@@ -24,14 +25,22 @@ from stickknots.heights import (
     verify_certificate,
     vertical_stick_augmentation,
 )
-from stickknots.constructions import trefoil_reference_system
+from stickknots.constructions import (
+    canonical_ordering_classes,
+    trefoil_reference_system,
+)
 
-from conftest import fm_feasible, walk_from_integer_vertices
+from conftest import (
+    brute_feasible_assignments,
+    fm_feasible,
+    walk_from_integer_vertices,
+)
 from stickknots.geometry import detect_crossings
 
 PENTAGRAM = Ordering((0, 3, 1, 4, 2))
 TREFOIL_7GON = Ordering((0, 1, 3, 5, 6, 2, 4))
 FEASIBLE_TREFOIL_7GON = Ordering((0, 2, 4, 1, 6, 3, 5))
+HEPTAGRAM_7_3 = Ordering((0, 3, 6, 2, 5, 1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +192,71 @@ def test_feasible_assignments_closed_under_total_flip():
         system = constraints_from_assignment(
             d, CrossingAssignment.from_bits(d.n_crossings, full ^ bits))
         assert verify_certificate(system, flipped_cert).ok
+
+
+def _assert_certified(d, feas, split_vertices=frozenset()):
+    full = (1 << d.n_crossings) - 1
+    by_bits = {a.bits: cert for a, cert in feas}
+    for a, cert in feas:
+        system = constraints_from_assignment(d, a, split_vertices)
+        assert verify_certificate(system, cert).ok
+        assert by_bits[full ^ a.bits].z == tuple(-z for z in cert.z)
+
+
+def test_feasible_assignments_equal_brute_force_on_small_classes():
+    checked = 0
+    for n in (5, 6, 7):
+        vs = regular_ngon(n)
+        for ordering, _ in canonical_ordering_classes(n):
+            d = diagram_from_ordering(vs, ordering)
+            if d.is_degenerate or d.n_crossings > 7:
+                continue
+            feas = feasible_assignments(d)
+            brute = brute_feasible_assignments(d)
+            assert [a.bits for a, _ in feas] == [a.bits for a, _ in brute], \
+                ordering.perm
+            _assert_certified(d, feas)
+            checked += 1
+    assert checked == 51
+
+
+def test_feasible_assignments_equal_brute_force_with_split_vertices():
+    d = diagram_from_ordering(regular_ngon(5), PENTAGRAM)
+    splits = frozenset({0, 1, 2})
+    feas = feasible_assignments(d, splits)
+    brute = brute_feasible_assignments(d, splits)
+    assert [a.bits for a, _ in feas] == [a.bits for a, _ in brute]
+    assert alternating_assignment(d).bits in {a.bits for a, _ in feas}
+    _assert_certified(d, feas, splits)
+
+
+def test_heptagram_enumeration_solves_few_lps(monkeypatch):
+    # the 2^c loop solved one LP per complementary pair: 2^13 = 8,192 here
+    d = diagram_from_ordering(regular_ngon(7), HEPTAGRAM_7_3)
+    assert d.n_crossings == 14
+    solve = heights.solve_feasibility
+    calls = []
+
+    def counting(system):
+        calls.append(len(system.constraints))
+        return solve(system)
+
+    monkeypatch.setattr(heights, "solve_feasibility", counting)
+    feas = feasible_assignments(d)
+    assert feas
+    assert len(calls) <= 2048
+    _assert_certified(d, feas)
+
+
+def test_twenty_crossing_diagram_is_not_refused(monkeypatch):
+    # enumerating all cells takes about a minute; with every LP infeasible
+    # the enumeration stops at crossing 0, which shows there is no cap
+    d = diagram_from_ordering(regular_ngon(9),
+                              Ordering((0, 3, 7, 2, 6, 1, 4, 8, 5)))
+    assert not d.is_degenerate
+    assert d.n_crossings == 20
+    monkeypatch.setattr(heights, "solve_feasibility", lambda system: None)
+    assert feasible_assignments(d) == []
 
 
 def test_pentagram_alternating_needs_vertex_splits():
