@@ -17,7 +17,6 @@ from .geometry import (
     InvalidParameterError,
     NonGenericDirectionError,
     Ordering,
-    SizeError,
     Vec2,
     VectorSet,
     Walk,
@@ -53,7 +52,6 @@ from .codes import (
 )
 from .heights import (
     HeightCertificate,
-    HeightConstraint,
     HeightSystem,
     constraints_from_assignment,
     feasible_assignments,
@@ -67,7 +65,6 @@ __all__ = [
     "CrossingAssignment",
     "GaussCode",
     "HeightCertificate",
-    "HeightConstraint",
     "HeightSystem",
     "KnotClass",
     "LaurentPoly",
@@ -94,7 +91,6 @@ __all__ = [
     "InvalidParameterError",
     "NonGenericDirectionError",
     "Ordering",
-    "SizeError",
     "Vec2",
     "VectorSet",
     "Walk",

@@ -311,8 +311,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.labels:
         labels = {}
         for item in args.labels.split(","):
-            v, text = item.split(":", 1)
-            labels[int(v)] = text
+            match = re.fullmatch(r"([+-]?\d+):(.*)", item, re.DOTALL)
+            if match is None:
+                raise InvalidParameterError(
+                    f"--labels item {item!r} is not VERTEX:TEXT with an "
+                    f"integer VERTEX")
+            labels[int(match[1])] = match[2]
     svg = render_svg(d, a, labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .geometry import (
     EPS_DEFAULT,
     Diagram,
@@ -38,7 +40,6 @@ from .codes import (
 )
 from .heights import (
     HeightCertificate,
-    HeightConstraint,
     HeightSystem,
     constraints_from_assignment,
     feasible_assignments,
@@ -268,7 +269,7 @@ def trefoil_reference_system() -> tuple[HeightSystem, tuple[float, ...],
     """The reference inequality system of the worked 7-gon trefoil, with its
     known solution and that solution's slacks.
 
-    Variables are (z_C, z_G, z_A, z_D, z_M): the heights named in the worked
+    Columns are (z_C, z_G, z_A, z_D, z_M): the heights named in the worked
     example, where z_M stands for the under-strand height at the interior
     crossing taken as a free value and the height at vertex B is pinned to
     zero.  The coefficients derive from the example's rounded figure
@@ -278,14 +279,11 @@ def trefoil_reference_system() -> tuple[HeightSystem, tuple[float, ...],
     t1 = 0.5549889
     t2 = 0.445043715
     t3 = 0.3080017676
-    constraints = (
-        HeightConstraint(coeffs=((0, 1.0 - t1), (1, t1)), crossing=0),
-        HeightConstraint(coeffs=((1, -(1.0 - t2)), (2, -t2), (3, 1.0)),
-                         crossing=1),
-        HeightConstraint(coeffs=((2, t3), (4, -1.0)), crossing=2),
-    )
-    system = HeightSystem(constraints=constraints, n_vars=5,
-                          var_names=("z_C", "z_G", "z_A", "z_D", "z_M"))
+    system = HeightSystem(np.array([
+        [1.0 - t1, t1, 0.0, 0.0, 0.0],
+        [0.0, -(1.0 - t2), -t2, 1.0, 0.0],
+        [0.0, 0.0, t3, 0.0, -1.0],
+    ]))
     solution = (1.0, -0.7, 7.0, 3.0, 0.1)
     slacks = (0.05651887, 0.273163394, 2.056012375)
     return system, solution, slacks

@@ -27,7 +27,6 @@ __all__ = [
     "InvalidParameterError",
     "NonGenericDirectionError",
     "DegenerateDiagramError",
-    "SizeError",
     "Vec2",
     "VectorSet",
     "Ordering",
@@ -66,10 +65,6 @@ class NonGenericDirectionError(RuntimeError):
 class DegenerateDiagramError(RuntimeError):
     """A diagram with unresolved degeneracies was passed to a consumer that
     requires a clean diagram."""
-
-
-class SizeError(ValueError):
-    """An enumeration would exceed the supported problem size."""
 
 
 # ---------------------------------------------------------------------------

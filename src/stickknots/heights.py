@@ -3,8 +3,10 @@
 An over/under choice at every crossing of a planar diagram is realizable by
 straight sticks in 3-space exactly when the strict linear system on vertex
 heights is feasible: at each crossing, the over edge's interpolated height
-must exceed the under edge's.  The system is homogeneous, so feasibility is
-scale invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
+must exceed the under edge's.  A :class:`HeightSystem` is that system's
+matrix, one row per crossing and one column per height variable, and asks
+for ``rows @ z > 0``.  The system is homogeneous, so feasibility is scale
+invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
 that reformulation is solved as a linear program.
 
 Flipping a crossing negates its row, so the feasible assignments of one
@@ -24,11 +26,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .geometry import Diagram, InvalidParameterError, SizeError
+from .geometry import Diagram, InvalidParameterError
 from .codes import CrossingAssignment
 
 __all__ = [
-    "HeightConstraint",
     "HeightSystem",
     "HeightCertificate",
     "VerifyResult",
@@ -40,9 +41,6 @@ __all__ = [
     "height_variable_map",
 ]
 
-MAX_CONSTRAINTS = 64
-MAX_VARIABLES = 64
-
 #: Certificates needing heights beyond this scale (for the normalized
 #: slack-1 system) indicate a system that is feasible only within rounding
 #: error of an exactly degenerate boundary; such systems are reported
@@ -50,30 +48,23 @@ MAX_VARIABLES = 64
 MAX_CERTIFICATE_SCALE = 1e9
 
 
-@dataclass(frozen=True)
-class HeightConstraint:
-    """One strict inequality sum(coeff * z_var) > 0, tagged by crossing."""
-
-    coeffs: tuple[tuple[int, float], ...]
-    crossing: int
-
-    def slack(self, z: Sequence[float]) -> float:
-        return sum(c * z[i] for i, c in self.coeffs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightSystem:
-    """A homogeneous system of strict inequalities over height variables."""
+    """The homogeneous strict system ``rows @ z > 0``: one row per
+    crossing, one column per height variable."""
 
-    constraints: tuple[HeightConstraint, ...]
-    n_vars: int
-    var_names: Optional[tuple[str, ...]] = None
+    rows: np.ndarray
+
+    @property
+    def n_vars(self) -> int:
+        return self.rows.shape[1]
 
     def slacks(self, z: Sequence[float]) -> tuple[float, ...]:
         if len(z) < self.n_vars:
             raise InvalidParameterError(
                 f"certificate covers {len(z)} variables, system has {self.n_vars}")
-        return tuple(c.slack(z) for c in self.constraints)
+        z = np.asarray(z, dtype=float)[:self.n_vars]
+        return tuple(float(s) for s in self.rows @ z)
 
 
 @dataclass(frozen=True)
@@ -125,50 +116,29 @@ def height_variable_map(d: Diagram,
     return mapping
 
 
-def _edge_point_coeffs(d: Diagram, edge: int, t: float,
-                       var_of: dict[tuple[int, str], int]) -> list[tuple[int, float]]:
-    """Interpolation weights of the strand height at parameter t on an edge.
-
-    The edge runs from vertex e (its "out" side) to vertex e+1 (its "in"
-    side); a parameter of 1.0 (a crossing at the corner itself) puts all
-    weight on the corner vertex.
-    """
-    m = d.walk.n_edges
-    v0 = var_of[(edge % m, "out")]
-    v1 = var_of[((edge + 1) % m, "in")]
-    out: list[tuple[int, float]] = []
-    if 1.0 - t > 0.0:
-        out.append((v0, 1.0 - t))
-    if t > 0.0:
-        out.append((v1, t))
-    return out
-
-
 def constraints_from_assignment(d: Diagram, a: CrossingAssignment,
                                 split_vertices: frozenset[int] = frozenset()
                                 ) -> HeightSystem:
-    """One strict inequality per crossing: over height minus under height > 0."""
+    """One strict inequality per crossing: over height minus under height > 0.
+
+    Row k adds the ``edge_a`` strand's height at the crossing and subtracts
+    the ``edge_b`` strand's, and is negated when ``edge_b`` is over.  A
+    strand at parameter t on edge e has height (1 - t) z_out(e) +
+    t z_in(e + 1), so a crossing at a corner (t = 1.0) puts all of its
+    weight on the corner vertex.
+    """
     d.require_clean()
     if len(a) != d.n_crossings:
         raise InvalidParameterError("assignment does not cover the diagram")
     var_of = height_variable_map(d, split_vertices)
-    n_vars = 1 + max(var_of.values()) if var_of else 0
-    constraints = []
+    m = d.walk.n_edges
+    rows = np.zeros((d.n_crossings, 1 + max(var_of.values())))
     for k, c in enumerate(d.crossings):
-        if a.over_a[k]:
-            over, t_over = c.edge_a, c.t_a
-            under, t_under = c.edge_b, c.t_b
-        else:
-            over, t_over = c.edge_b, c.t_b
-            under, t_under = c.edge_a, c.t_a
-        acc: dict[int, float] = {}
-        for i, w in _edge_point_coeffs(d, over, t_over, var_of):
-            acc[i] = acc.get(i, 0.0) + w
-        for i, w in _edge_point_coeffs(d, under, t_under, var_of):
-            acc[i] = acc.get(i, 0.0) - w
-        coeffs = tuple(sorted((i, w) for i, w in acc.items() if w != 0.0))
-        constraints.append(HeightConstraint(coeffs=coeffs, crossing=k))
-    return HeightSystem(constraints=tuple(constraints), n_vars=n_vars)
+        for edge, t, sign in ((c.edge_a, c.t_a, 1.0), (c.edge_b, c.t_b, -1.0)):
+            rows[k, var_of[(edge % m, "out")]] += sign * (1.0 - t)
+            rows[k, var_of[((edge + 1) % m, "in")]] += sign * t
+    rows *= np.where(a.over_a, 1.0, -1.0)[:, None]
+    return HeightSystem(rows)
 
 
 def _accepted_margin(A: np.ndarray, z: np.ndarray) -> Optional[float]:
@@ -190,22 +160,14 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     with the HiGHS simplex through an unrestricted-variable split
     z = p - q, minimizing sum(p + q) for a deterministic, small certificate.
     """
-    if len(sys.constraints) > MAX_CONSTRAINTS:
-        raise SizeError(f"{len(sys.constraints)} constraints exceed the cap")
-    if not sys.constraints:
+    if not len(sys.rows):
         return HeightCertificate(z=(0.0,) * sys.n_vars, margin=math.inf)
     # Variables that appear in no constraint are free; solve over the active
-    # ones only and report zero heights for the rest.
-    active = sorted({i for c in sys.constraints for i, _ in c.coeffs})
-    if len(active) > MAX_VARIABLES:
-        raise SizeError(f"{len(active)} active variables exceed the cap")
-    col = {i: j for j, i in enumerate(active)}
-    n = len(active)
-    rows = len(sys.constraints)
-    A = np.zeros((rows, n))
-    for r, c in enumerate(sys.constraints):
-        for i, w in c.coeffs:
-            A[r, col[i]] = w
+    # ones only and report zero heights for the rest.  The C-contiguous copy
+    # fixes the summation order of A @ z.
+    active = np.flatnonzero(np.any(sys.rows != 0.0, axis=0))
+    A = np.ascontiguousarray(sys.rows[:, active])
+    rows, n = A.shape
     # A (p - q) >= 1  <=>  -A p + A q <= -1, with p, q >= 0.
     A_ub = np.hstack([-A, A])
     b_ub = -np.ones(rows)
@@ -220,10 +182,9 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     margin = _accepted_margin(A, z_active)
     if margin is None:
         return None
-    z = [0.0] * sys.n_vars
-    for i, j in col.items():
-        z[i] = float(z_active[j])
-    return HeightCertificate(z=tuple(z), margin=margin)
+    z = np.zeros(sys.n_vars)
+    z[active] = z_active
+    return HeightCertificate(z=tuple(float(x) for x in z), margin=margin)
 
 
 def verify_certificate(sys: HeightSystem,
@@ -260,26 +221,14 @@ def feasible_assignments(d: Diagram,
         d, CrossingAssignment((True,) * c), split_vertices)
     if c == 0:
         return [(CrossingAssignment(()), solve_feasibility(base))]
-    # signed[k][bit]: the row of crossing k with edge_a over iff bit is 1
-    signed = [(HeightConstraint(tuple((i, -w) for i, w in r.coeffs), k), r)
-              for k, r in enumerate(base.constraints)]
-    R = np.zeros((c, base.n_vars))
-    for k, r in enumerate(base.constraints):
-        for i, w in r.coeffs:
-            R[k, i] = w
-
-    def solve(bits: int, rows: int):
-        cert = solve_feasibility(HeightSystem(
-            tuple(signed[j][bits >> j & 1] for j in range(rows)),
-            base.n_vars))
-        return None if cert is None else (np.array(cert.z), cert.margin)
-
+    R = base.rows
     # |r_j . r_k|: a step of margin / (2 max_j |r_j . r_k|) along r_k keeps
     # every earlier slack above margin / 2
     gram = np.abs(R @ R.T)
     # a live cell: (bits, row signs, witness heights, margin)
-    root = solve(1, 1)
-    cells = [] if root is None else [(1, np.ones(1), *root)]
+    root = solve_feasibility(HeightSystem(R[:1]))
+    cells = [] if root is None else [(1, np.ones(1), np.array(root.z),
+                                      root.margin)]
     for k in range(1, c):
         step = R[k] / (2.0 * float(np.max(gram[k, :k + 1])))
         grown = []
@@ -296,7 +245,9 @@ def feasible_assignments(d: Diagram,
                     if m is not None:
                         witness = (w / slack, m)
                 if witness is None:
-                    witness = solve(child, k + 1)
+                    cert = solve_feasibility(HeightSystem(A))
+                    if cert is not None:
+                        witness = (np.array(cert.z), cert.margin)
                 if witness is not None:
                     grown.append((child, child_signs, *witness))
         cells = grown

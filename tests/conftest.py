@@ -25,8 +25,8 @@ from stickknots.heights import (
 
 def fm_feasible(system: HeightSystem) -> bool:
     rows: list[dict[int, Fraction]] = []
-    for c in system.constraints:
-        row = {i: Fraction(w) for i, w in c.coeffs if w != 0.0}
+    for r in system.rows:
+        row = {i: Fraction(float(w)) for i, w in enumerate(r) if w != 0.0}
         if not row:
             return False  # literally 0 > 0
         rows.append(row)

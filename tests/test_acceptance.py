@@ -156,10 +156,7 @@ def test_03_companion_infeasibility_certificate_for_the_selection_system():
     d = diagram_from_ordering(regular_ngon(7), trefoil_selection(7))
     a = alternating_assignment(d)
     system = constraints_from_assignment(d, a)
-    rows = np.zeros((len(system.constraints), system.n_vars))
-    for r, con in enumerate(system.constraints):
-        for i, w in con.coeffs:
-            rows[r, i] = w
+    rows = system.rows
     _, _, vt = np.linalg.svd(rows.T, full_matrices=True)
     lam = vt[-1]
     if lam.sum() < 0:

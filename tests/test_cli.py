@@ -150,6 +150,13 @@ def test_usage_errors_exit_2(capsys):
             assert main([command, "--n", "7", "--ordering", "0,2,4,1,6,3,5",
                          "--assignment", bits]) == 2
     assert "out of range" in capsys.readouterr().err
+    # a label item needs VERTEX:TEXT with an integer vertex
+    for item in ("0", "x:L"):
+        assert main(["render", "--n", "5", "--ordering", "0,3,1,4,2",
+                     "--labels", item]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--labels" in err and repr(item) in err
 
 
 def test_malformed_input_diagram_exits_2(tmp_path, capsys):

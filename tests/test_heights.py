@@ -8,7 +8,6 @@ import pytest
 
 from stickknots.geometry import (
     Ordering,
-    SizeError,
     diagram_from_ordering,
     regular_ngon,
 )
@@ -16,7 +15,6 @@ from stickknots.codes import CrossingAssignment, alternating_assignment
 from stickknots import heights
 from stickknots.heights import (
     HeightCertificate,
-    HeightConstraint,
     HeightSystem,
     constraints_from_assignment,
     feasible_assignments,
@@ -105,16 +103,12 @@ def test_certificate_json_round_trip():
 def _random_system(rng: random.Random) -> HeightSystem:
     n_vars = rng.randint(2, 4)
     rows = []
-    for k in range(rng.randint(1, 5)):
-        coeffs = []
-        for i in range(n_vars):
-            c = rng.randint(-5, 5)
-            if c:
-                coeffs.append((i, float(c)))
-        if not coeffs:
-            coeffs = [(0, 1.0)]
-        rows.append(HeightConstraint(coeffs=tuple(coeffs), crossing=k))
-    return HeightSystem(constraints=tuple(rows), n_vars=n_vars)
+    for _ in range(rng.randint(1, 5)):
+        row = [float(rng.randint(-5, 5)) for _ in range(n_vars)]
+        if not any(row):
+            row[0] = 1.0
+        rows.append(row)
+    return HeightSystem(np.array(rows))
 
 
 def test_solver_agrees_with_elimination_on_integer_systems():
@@ -162,10 +156,7 @@ def test_degenerate_alternating_trefoil_has_positive_null_combination():
     a = alternating_assignment(d)
     system = constraints_from_assignment(d, a)
     assert solve_feasibility(system) is None
-    rows = np.zeros((len(system.constraints), system.n_vars))
-    for r, con in enumerate(system.constraints):
-        for i, w in con.coeffs:
-            rows[r, i] = w
+    rows = system.rows
     # one-dimensional left null space with a strictly positive generator
     _, _, vt = np.linalg.svd(rows.T, full_matrices=True)
     lam = vt[-1]
@@ -238,7 +229,7 @@ def test_heptagram_enumeration_solves_few_lps(monkeypatch):
     calls = []
 
     def counting(system):
-        calls.append(len(system.constraints))
+        calls.append(len(system.rows))
         return solve(system)
 
     monkeypatch.setattr(heights, "solve_feasibility", counting)
@@ -257,6 +248,39 @@ def test_twenty_crossing_diagram_is_not_refused(monkeypatch):
     assert d.n_crossings == 20
     monkeypatch.setattr(heights, "solve_feasibility", lambda system: None)
     assert feasible_assignments(d) == []
+
+
+def _assert_rows_are_signed_base_rows(d, assignments, split_vertices):
+    c = d.n_crossings
+    base = constraints_from_assignment(
+        d, CrossingAssignment((True,) * c), split_vertices).rows
+    for a in assignments:
+        signs = np.where(a.over_a, 1.0, -1.0)
+        got = constraints_from_assignment(d, a, split_vertices).rows
+        assert got.tobytes() == (base * signs[:, None]).tobytes()
+        assert got.shape == base.shape
+
+
+def test_assignment_rows_are_signed_base_rows():
+    # feasible_assignments flips crossings by negating rows of the
+    # all-edge_a-over system; the rows built per assignment must agree
+    rng = random.Random(11)
+    vs = regular_ngon(7)
+    checked = 0
+    for ordering, _ in canonical_ordering_classes(7):
+        d = diagram_from_ordering(vs, ordering)
+        if d.is_degenerate:
+            continue
+        c = d.n_crossings
+        bits = {0, (1 << c) - 1} | {rng.randrange(1 << c) for _ in range(4)}
+        _assert_rows_are_signed_base_rows(
+            d, [CrossingAssignment.from_bits(c, b) for b in bits], frozenset())
+        checked += 1
+    assert checked == 36
+    d = diagram_from_ordering(regular_ngon(5), PENTAGRAM)
+    _assert_rows_are_signed_base_rows(
+        d, [CrossingAssignment.from_bits(5, b) for b in range(32)],
+        frozenset({0, 1, 2}))
 
 
 def test_pentagram_alternating_needs_vertex_splits():
@@ -295,11 +319,10 @@ def test_corner_crossing_puts_weight_on_the_corner():
     assert c.t_b == pytest.approx(1.0)
     a = CrossingAssignment.from_bits(1, 1)
     system = constraints_from_assignment(d, a)
-    (constraint,) = system.constraints
+    (row,) = system.rows
     var_of = height_variable_map(d)
     corner = var_of[((c.edge_b + 1) % d.walk.n_edges, "in")]
-    coeffs = dict(constraint.coeffs)
-    assert coeffs[corner] == pytest.approx(-1.0)  # the full under weight
+    assert row[corner] == pytest.approx(-1.0)  # the full under weight
 
 
 def test_vertical_stick_augmentation_validates_vertices():
@@ -309,15 +332,16 @@ def test_vertical_stick_augmentation_validates_vertices():
         vertical_stick_augmentation(d, frozenset({9}))
 
 
-def test_constraint_count_cap():
-    rows = tuple(HeightConstraint(coeffs=((0, 1.0),), crossing=k)
-                 for k in range(65))
-    with pytest.raises(SizeError):
-        solve_feasibility(HeightSystem(constraints=rows, n_vars=1))
+def test_sixty_five_row_system_is_solved():
+    # no cap on the number of rows or variables
+    system = HeightSystem(np.ones((65, 1)))
+    cert = solve_feasibility(system)
+    assert cert is not None
+    assert verify_certificate(system, cert).ok
 
 
 def test_empty_system_is_trivially_feasible():
-    cert = solve_feasibility(HeightSystem(constraints=(), n_vars=4))
+    cert = solve_feasibility(HeightSystem(np.zeros((0, 4))))
     assert cert is not None
     assert cert.margin == math.inf
     assert cert.z == (0.0, 0.0, 0.0, 0.0)
