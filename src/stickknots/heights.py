@@ -7,14 +7,20 @@ must exceed the under edge's.  A :class:`HeightSystem` is that system's
 matrix, one row per crossing and one column per height variable, and asks
 for ``rows @ z > 0``.  The system is homogeneous, so feasibility is scale
 invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
-that reformulation is solved as a linear program.
+that reformulation is a linear program, built by one function
+(:func:`_lp_model`) as a model of the HiGHS dual simplex (Huangfu & Hall,
+2018) through the binding that scipy ships.
 
 Flipping a crossing negates its row, so the feasible assignments of one
 diagram are the cells of a central hyperplane arrangement, one hyperplane
-per crossing.  :func:`feasible_assignments` enumerates those cells one
-crossing at a time, solving an LP only where a cell's witness heights do
-not already decide a child, so its cost follows the number of feasible
-assignments rather than 2^c.
+per crossing.  :func:`feasible_assignments` walks the tree of those cells
+depth first, one crossing per level, in the manner of reverse search
+(Avis & Fukuda, 1996).  One model per diagram holds the rows of the
+current path; a child adds one row to its parent's and is solved,
+warm-started, only where the parent's witness heights do not already
+decide it.  Its cost follows the number of feasible assignments rather
+than 2^c.  :func:`solve_feasibility` answers a single system with a fresh
+model.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from .geometry import Diagram, InvalidParameterError
 from .codes import CrossingAssignment
@@ -152,13 +158,71 @@ def _accepted_margin(A: np.ndarray, z: np.ndarray) -> Optional[float]:
     return margin if margin > 0.0 else None
 
 
+def _row_entries(r: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """``addRow``'s count, column indices and values for the row
+    ``r . (p - q)`` over the columns p, q."""
+    both = np.concatenate((r, -r))
+    index = np.flatnonzero(both).astype(np.int32)
+    return len(index), index, both[index]
+
+
+def _lp_model(A: np.ndarray, presolve: bool) -> _core._Highs:
+    """The HiGHS model of ``A z >= 1``, solved by the dual simplex.
+
+    Columns p, q >= 0 with z = p - q and cost sum(p + q); one row
+    ``r . (p - q) >= 1`` per row r of A, in order.  Presolve pays for a
+    model solved once; a model that grows and shrinks by rows between
+    runs goes without, so each run starts from the basis of the last.
+    """
+    n = A.shape[1]
+    model = _core._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "on" if presolve else "off")
+    model.setOptionValue("simplex_strategy", _core.simplex_constants
+                         .SimplexStrategy.kSimplexStrategyDual)
+    model.addVars(2 * n, np.zeros(2 * n), np.full(2 * n, _core.kHighsInf))
+    model.changeColsCost(2 * n, np.arange(2 * n, dtype=np.int32),
+                         np.ones(2 * n))
+    for r in A:
+        model.addRow(1.0, _core.kHighsInf, *_row_entries(r))
+    return model
+
+
+def _solve(model: _core._Highs,
+           A: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+    """Run the model of A's rows: its heights and their margin on A, or
+    None when the system is infeasible or the heights fail
+    :func:`_accepted_margin`."""
+    model.run()
+    status = model.getModelStatus()
+    if status == _core.HighsModelStatus.kInfeasible:
+        return None
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError("linear program did not converge: "
+                           + model.modelStatusToString(status))
+    x = np.array(model.getSolution().col_value)
+    z = x[:A.shape[1]] - x[A.shape[1]:]
+    margin = _accepted_margin(A, z)
+    return None if margin is None else (z, margin)
+
+
+def _certificate(n_vars: int, active: np.ndarray, z_active: np.ndarray,
+                 margin: float) -> HeightCertificate:
+    """Heights z_active on the active variables, zero on the rest."""
+    z = np.zeros(n_vars)
+    z[active] = z_active
+    return HeightCertificate(z=tuple(float(x) for x in z), margin=margin)
+
+
 def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     """Find heights satisfying every strict inequality, or None.
 
     Homogeneity makes strictness exact: the system has a solution with all
-    slacks > 0 iff it has one with all slacks >= 1.  The latter is solved
-    with the HiGHS simplex through an unrestricted-variable split
-    z = p - q, minimizing sum(p + q) for a deterministic, small certificate.
+    slacks > 0 iff it has one with all slacks >= 1.  The latter is one
+    fresh HiGHS model (:func:`_lp_model`, presolve on, dual simplex) over
+    the split z = p - q, minimizing sum(p + q) for a deterministic, small
+    certificate.  For a whole diagram's assignments,
+    :func:`feasible_assignments` reuses one model instead.
     """
     if not len(sys.rows):
         return HeightCertificate(z=(0.0,) * sys.n_vars, margin=math.inf)
@@ -167,24 +231,9 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     # fixes the summation order of A @ z.
     active = np.flatnonzero(np.any(sys.rows != 0.0, axis=0))
     A = np.ascontiguousarray(sys.rows[:, active])
-    rows, n = A.shape
-    # A (p - q) >= 1  <=>  -A p + A q <= -1, with p, q >= 0.
-    A_ub = np.hstack([-A, A])
-    b_ub = -np.ones(rows)
-    cost = np.ones(2 * n)
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * (2 * n),
-                  method="highs")
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise RuntimeError(f"linear program did not converge: {res.message}")
-    z_active = res.x[:n] - res.x[n:]
-    margin = _accepted_margin(A, z_active)
-    if margin is None:
-        return None
-    z = np.zeros(sys.n_vars)
-    z[active] = z_active
-    return HeightCertificate(z=tuple(float(x) for x in z), margin=margin)
+    solved = _solve(_lp_model(A, presolve=True), A)
+    return None if solved is None else _certificate(sys.n_vars, active,
+                                                    *solved)
 
 
 def verify_certificate(sys: HeightSystem,
@@ -204,15 +253,18 @@ def feasible_assignments(d: Diagram,
 
     Flipping crossing k negates row r_k of the system with every ``edge_a``
     over, so the feasible assignments are the cells of the central
-    arrangement {r_k . z = 0}.  Crossings are added one at a time and each
-    live cell keeps witness heights.  Stepped a little along +-r_k towards
-    a child's side of the new hyperplane and rescaled to margin 1, the
-    witness decides that child without an LP when it passes
-    :func:`solve_feasibility`'s own acceptance.  It can decide the child on
-    its own side and, when it lies on or near the hyperplane, both
-    children; a child it does not decide is solved, on its signed rows so
-    far.  Crossing 0 is fixed with ``edge_a`` over, and the total flips
-    are the antipodal cells, with negated heights.  Results are in
+    arrangement {r_k . z = 0}.  A cell on crossings 0..k has two children,
+    one on each side of r_{k+1} . z = 0, and the cells form a tree that is
+    walked depth first over one HiGHS model (:func:`_lp_model`, presolve
+    off) holding the signed rows of the current path: entering a child
+    adds its row, leaving it deletes the row.  Each cell keeps witness
+    heights.  Stepped a little along +-r_k towards a child's side and
+    rescaled to margin 1, the parent's witness decides the child without
+    an LP when it passes :func:`_accepted_margin`, the same acceptance as
+    :func:`solve_feasibility`'s.  Otherwise the model is run again,
+    warm-started from the basis of its last run, so each LP costs a few
+    pivots.  Crossing 0 is fixed with ``edge_a`` over, and the total flips
+    are the antipodal cells, with exactly negated heights.  Results are in
     ascending bits.
     """
     d.require_clean()
@@ -221,42 +273,47 @@ def feasible_assignments(d: Diagram,
         d, CrossingAssignment((True,) * c), split_vertices)
     if c == 0:
         return [(CrossingAssignment(()), solve_feasibility(base))]
-    R = base.rows
+    active = np.flatnonzero(np.any(base.rows != 0.0, axis=0))
+    R = np.ascontiguousarray(base.rows[:, active])
     # |r_j . r_k|: a step of margin / (2 max_j |r_j . r_k|) along r_k keeps
     # every earlier slack above margin / 2
     gram = np.abs(R @ R.T)
-    # a live cell: (bits, row signs, witness heights, margin)
-    root = solve_feasibility(HeightSystem(R[:1]))
-    cells = [] if root is None else [(1, np.ones(1), np.array(root.z),
-                                      root.margin)]
-    for k in range(1, c):
-        step = R[k] / (2.0 * float(np.max(gram[k, :k + 1])))
-        grown = []
-        for bits, signs, z, margin in cells:
-            for bit in (0, 1):
-                child = bits | bit << k
-                child_signs = np.append(signs, 2.0 * bit - 1.0)
-                A = R[:k + 1] * child_signs[:, None]
-                w = z + child_signs[-1] * margin * step
-                slack = float(np.min(A @ w))
-                witness = None
-                if slack > 0.0:
-                    m = _accepted_margin(A, w / slack)
-                    if m is not None:
-                        witness = (w / slack, m)
-                if witness is None:
-                    cert = solve_feasibility(HeightSystem(A))
-                    if cert is not None:
-                        witness = (np.array(cert.z), cert.margin)
-                if witness is not None:
-                    grown.append((child, child_signs, *witness))
-        cells = grown
+    steps = [R[k] / (2.0 * float(np.max(gram[k, :k + 1]))) for k in range(c)]
+    # addRow arguments of each crossing's row, by bit: 0 negates it
+    entries = [(_row_entries(-r), _row_entries(r)) for r in R]
+    signs = np.ones(c)
+    model = _lp_model(R[:1], presolve=False)
+    cells = []  # (bits, witness heights, margin) of the full cells found
+
+    def descend(k: int, bits: int, z: np.ndarray, margin: float) -> None:
+        if k == c:
+            cells.append((bits, z, margin))
+            return
+        for bit in (0, 1):
+            signs[k] = 2.0 * bit - 1.0
+            A = R[:k + 1] * signs[:k + 1, None]
+            w = z + signs[k] * margin * steps[k]
+            slack = float(np.min(A @ w))
+            witness = None
+            if slack > 0.0:
+                m = _accepted_margin(A, w / slack)
+                if m is not None:
+                    witness = (w / slack, m)
+            model.addRow(1.0, _core.kHighsInf, *entries[k][bit])
+            if witness is None:
+                witness = _solve(model, A)
+            if witness is not None:
+                descend(k + 1, bits | bit << k, *witness)
+            model.deleteRows(1, np.array([k], dtype=np.int32))
+
+    root = _solve(model, R[:1])
+    if root is not None:
+        descend(1, 1, *root)
     full = (1 << c) - 1
-    found = sorted([(bits, z, m) for bits, _, z, m in cells]
-                   + [(full ^ bits, -z, m) for bits, _, z, m in cells],
+    found = sorted(cells + [(full ^ bits, -z, m) for bits, z, m in cells],
                    key=lambda cell: cell[0])
     return [(CrossingAssignment.from_bits(c, bits),
-             HeightCertificate(z=tuple(float(x) for x in z), margin=m))
+             _certificate(base.n_vars, active, z, m))
             for bits, z, m in found]
 
 

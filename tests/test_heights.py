@@ -67,6 +67,48 @@ def test_reference_system_is_solvable_both_ways():
 
 
 # ---------------------------------------------------------------------------
+# The HiGHS binding
+
+#: What heights.py calls of scipy's private HiGHS binding: members of the
+#: model class, then module attributes.
+HIGHS_MODEL_CALLS = ("setOptionValue", "addVars", "changeColsCost", "addRow",
+                     "deleteRows", "run", "getModelStatus",
+                     "modelStatusToString", "getSolution", "getDualRay")
+HIGHS_MODULE_NAMES = ("_Highs", "kHighsInf", "HighsModelStatus",
+                      "simplex_constants")
+
+
+def test_highs_binding_provides_what_the_models_call():
+    import importlib
+    import scipy
+
+    pinned = "; pyproject.toml pins the scipy range whose binding has them"
+    try:
+        core = importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError as err:
+        pytest.fail(f"scipy {scipy.__version__} has no HiGHS binding "
+                    f"scipy.optimize._highspy._core ({err}){pinned}")
+    missing = [name for name in HIGHS_MODULE_NAMES if not hasattr(core, name)]
+    missing += [f"_Highs.{name}" for name in HIGHS_MODEL_CALLS
+                if not hasattr(getattr(core, "_Highs", None), name)]
+    assert not missing, (f"scipy {scipy.__version__}: "
+                         f"scipy.optimize._highspy._core lacks "
+                         f"{', '.join(missing)}{pinned}")
+
+
+def test_infeasible_model_reports_a_gordan_ray():
+    # {z0 - z1 > 0, z1 - z0 > 0} is infeasible; the model's dual ray is a
+    # nonnegative combination of its rows that vanishes (Gordan)
+    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    model = heights._lp_model(A, presolve=False)
+    assert heights._solve(model, A) is None
+    _, has_ray, y = model.getDualRay()
+    assert has_ray
+    assert np.all(y >= 0.0) and np.any(y > 0.0)
+    assert np.allclose(y @ A, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Homogeneity and certificate checking
 
 
@@ -195,12 +237,13 @@ def _assert_certified(d, feas, split_vertices=frozenset()):
 
 
 def test_feasible_assignments_equal_brute_force_on_small_classes():
+    # the brute force solves each of the 2^c systems on a fresh model
     checked = 0
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8):
         vs = regular_ngon(n)
         for ordering, _ in canonical_ordering_classes(n):
             d = diagram_from_ordering(vs, ordering)
-            if d.is_degenerate or d.n_crossings > 7:
+            if d.is_degenerate or d.n_crossings > 8:
                 continue
             feas = feasible_assignments(d)
             brute = brute_feasible_assignments(d)
@@ -208,7 +251,7 @@ def test_feasible_assignments_equal_brute_force_on_small_classes():
                 ordering.perm
             _assert_certified(d, feas)
             checked += 1
-    assert checked == 51
+    assert checked == 252
 
 
 def test_feasible_assignments_equal_brute_force_with_split_vertices():
@@ -225,29 +268,34 @@ def test_heptagram_enumeration_solves_few_lps(monkeypatch):
     # the 2^c loop solved one LP per complementary pair: 2^13 = 8,192 here
     d = diagram_from_ordering(regular_ngon(7), HEPTAGRAM_7_3)
     assert d.n_crossings == 14
-    solve = heights.solve_feasibility
-    calls = []
+    solve = heights._solve
+    solves = []
 
-    def counting(system):
-        calls.append(len(system.rows))
-        return solve(system)
+    def counting(model, A):
+        solves.append((model.getNumRow(), len(A)))
+        return solve(model, A)
 
-    monkeypatch.setattr(heights, "solve_feasibility", counting)
+    monkeypatch.setattr(heights, "_solve", counting)
     feas = feasible_assignments(d)
     assert feas
-    assert len(calls) <= 2048
+    # the model holds one row per crossing of the cell being solved: the
+    # root cell has one, and each child adds one to its parent's
+    assert all(held == rows for held, rows in solves)
+    child_solves = [rows for _, rows in solves if rows > 1]
+    assert 0 < len(child_solves) <= 2048
     _assert_certified(d, feas)
 
 
-def test_twenty_crossing_diagram_is_not_refused(monkeypatch):
-    # enumerating all cells takes about a minute; with every LP infeasible
-    # the enumeration stops at crossing 0, which shows there is no cap
+def test_twenty_crossing_diagram_is_not_refused():
+    # no cap on the crossing count: all cells of the 20-crossing 9-gon
+    # class, a few seconds on the warm-started model
     d = diagram_from_ordering(regular_ngon(9),
                               Ordering((0, 3, 7, 2, 6, 1, 4, 8, 5)))
     assert not d.is_degenerate
     assert d.n_crossings == 20
-    monkeypatch.setattr(heights, "solve_feasibility", lambda system: None)
-    assert feasible_assignments(d) == []
+    feas = feasible_assignments(d)
+    assert len(feas) == 14_728
+    _assert_certified(d, feas)
 
 
 def _assert_rows_are_signed_base_rows(d, assignments, split_vertices):
