@@ -338,11 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="geometric tolerance (default 1e-9)")
     common.add_argument("--out", type=str, default=None,
                         help="write the report/SVG here instead of stdout")
-    common.add_argument("--format", choices=("json", "text", "svg"),
-                        default="json")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, report],
                               help="run one verification gate")
     p_verify.add_argument(
         "target",
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="also write the census catalog (JSONL) here")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_classify = sub.add_parser("classify", parents=[common],
+    p_classify = sub.add_parser("classify", parents=[common, report],
                                 help="classify one diagram")
     p_classify.add_argument("--input", type=str, default=None,
                             help="diagram JSON file")

@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Diagram, InvalidParameterError
+from .geometry import (EPS_DEFAULT, DegenerateContact, Diagram,
+                       InvalidParameterError, segment_intersection)
 
 __all__ = [
     "CrossingAssignment",
@@ -515,7 +516,7 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 # Stick counting
 
 
-def merge_crossingless_runs(d: Diagram, eps: float = 1e-9) -> int:
+def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
     """Effective stick count after merging runs of crossing-free edges.
 
     Two cyclically consecutive edges merge when neither is incident to any
@@ -525,8 +526,6 @@ def merge_crossingless_runs(d: Diagram, eps: float = 1e-9) -> int:
     drops below 3 edges.  Edges carrying a crossing at their far vertex
     (parameter 1.0) block both edges at that corner.
     """
-    from .geometry import DegenerateContact, segment_intersection
-
     m = d.walk.n_edges
     blocked = set()
     for c in d.crossings:

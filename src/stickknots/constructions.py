@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -316,26 +318,17 @@ class SixGonReport:
 def exhaustive_6gon_check(eps: float = EPS_DEFAULT) -> SixGonReport:
     """Classify every feasible assignment of every 6-gon reordering.
 
-    All 120 orderings with the first vector fixed are enumerated; retraced
-    edges collapse and coincident-vertex contacts resolve by interleaving.
-    The expected outcome is Unknot everywhere with nothing unresolved.
+    A view of the census without symmetry reduction: all 120 orderings with
+    the first vector fixed, retraced edges collapsed and coincident-vertex
+    contacts resolved by interleaving.  Degenerate records are the unresolved
+    orderings, and the labels of every record are counted.  The expected
+    outcome is Unknot everywhere with nothing unresolved.
     """
-    vs = regular_ngon(6)
-    unresolved = []
-    class_counts: dict[str, int] = {}
-    count = 0
-    for rest in itertools.permutations(range(1, 6)):
-        ordering = Ordering((0,) + rest)
-        count += 1
-        d = diagram_from_ordering(vs, ordering, eps)
-        if d.is_degenerate:
-            unresolved.append(ordering.perm)
-            continue
-        for a, _cert in feasible_assignments(d):
-            label = classify(d, a).label
-            class_counts[label] = class_counts.get(label, 0) + 1
-    return SixGonReport(orderings=count, unresolved=tuple(unresolved),
-                        class_counts=class_counts)
+    records = search_ngon(6, symmetry_reduce=False, eps=eps).records
+    return SixGonReport(
+        orderings=len(records),
+        unresolved=tuple(r.ordering for r in records if r.degenerate),
+        class_counts=Counter(label for r in records for label in r.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +339,15 @@ def figure_eight_8gon(eps: float = EPS_DEFAULT) -> tuple[
         Diagram, CrossingAssignment, HeightCertificate, KnotClass]:
     """Find an 8-gon reordering forming a feasible figure-eight knot.
 
-    The walk is reconstructed by bounded search: the lexicographically first
-    ordering (first vector fixed) with exactly 4 crossings whose alternating
-    assignment is strictly feasible and classifies as the figure-eight.
+    The first symmetry class representative with exactly 4 crossings whose
+    alternating assignment classifies as the figure-eight and is strictly
+    feasible.  The test holds for all of a class or none of it (the
+    figure-eight is amphichiral, and flipping every crossing negates the
+    heights), so this is the lexicographically first such ordering with the
+    first vector fixed.
     """
     vs = regular_ngon(8)
-    for rest in itertools.permutations(range(1, 8)):
-        ordering = Ordering((0,) + rest)
+    for ordering, _orbit in canonical_ordering_classes(8):
         d = diagram_from_ordering(vs, ordering, eps)
         if d.is_degenerate or d.n_crossings != 4:
             continue
@@ -515,44 +510,44 @@ class SearchCatalog:
                    eps=float(header["eps"]), records=records)
 
 
-def _canonical_word(perm: tuple[int, ...], n: int,
-                    use_symmetry: bool) -> tuple[int, ...]:
-    """Canonical representative of an ordering under the symmetries that
-    preserve crossing structure: cyclic rotation and reversal of the word,
-    and (optionally) the dihedral relabelings i -> +-i + k of the regular
-    n-gon's vectors."""
-    def rotate_to_zero(word: tuple[int, ...]) -> tuple[int, ...]:
-        z = word.index(0)
-        return word[z:] + word[:z]
+def _orbit_size(perm: tuple[int, ...], relabelings: list) -> int:
+    """Size of the symmetry class of ``perm``, or 0 if an image is smaller.
 
-    candidates = []
-    if use_symmetry:
-        words = [perm, tuple(reversed(perm))]
-        relabelings = [(s, k) for s in (1, -1) for k in range(n)]
-    else:
-        words = [perm]
-        relabelings = [(1, 0)]
-    for word in words:
-        for s, k in relabelings:
-            relabeled = tuple((s * i + k) % n for i in word)
-            candidates.append(rotate_to_zero(relabeled))
-    return min(candidates)
+    An image is the word or the reversed word relabelled by a ``relabelings``
+    table, rotated to start at the label ``zero`` that the table maps to 0.
+    """
+    n = len(perm)
+    images = {perm}
+    for word in (perm * 2, perm[::-1] * 2):
+        for table, zero in relabelings:
+            start = word.index(zero)
+            image = itemgetter(*word[start:start + n])(table)
+            if image < perm:
+                return 0
+            images.add(image)
+    return len(images)
 
 
 def canonical_ordering_classes(n: int, use_symmetry: bool = True
                                ) -> list[tuple[Ordering, int]]:
     """Group all first-fixed orderings into symmetry classes.
 
-    Returns (representative, orbit size) pairs; representatives are the
-    lexicographically smallest members.  Without symmetry, only rotation to
-    a fixed starting vector is applied (each ordering is its own class).
+    With ``use_symmetry`` the images of an ordering are its word and reversed
+    word under the relabellings i -> +-i + k of the regular n-gon's vectors,
+    rotated to start at vector 0; without it every ordering is its own class.
+    Orderings are walked in lexicographic order and kept when no image is
+    smaller, so the (representative, orbit size) pairs come out sorted by
+    their smallest member, and no set of all orderings is held.
     """
-    classes: dict[tuple[int, ...], int] = {}
+    relabelings = [(tuple((s * i + k) % n for i in range(n)), (-s * k) % n)
+                   for s in (1, -1) for k in range(n)] if use_symmetry else []
+    classes = []
     for rest in itertools.permutations(range(1, n)):
         perm = (0,) + rest
-        key = _canonical_word(perm, n, use_symmetry)
-        classes[key] = classes.get(key, 0) + 1
-    return [(Ordering(key), orbit) for key, orbit in sorted(classes.items())]
+        orbit = _orbit_size(perm, relabelings)
+        if orbit:
+            classes.append((Ordering(perm), orbit))
+    return classes
 
 
 def search_ngon(n: int, symmetry_reduce: bool = True,
@@ -584,7 +579,7 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
         records.append(CatalogRecord(
             n=n, ordering=ordering.perm, crossings=d.n_crossings,
             feasible=len(feas), classes=tuple(labels), degenerate=False,
-            merged_sticks=merge_crossingless_runs(d), orbit=orbit))
+            merged_sticks=merge_crossingless_runs(d, eps), orbit=orbit))
     catalog = SearchCatalog(n=n, symmetry_reduce=symmetry_reduce, eps=eps,
                             records=tuple(records))
     if catalog_path is not None:

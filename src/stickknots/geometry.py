@@ -122,24 +122,13 @@ class Vec2:
 
 @dataclass(frozen=True)
 class VectorSet:
-    """An ordered collection of planar vectors summing to zero.
-
-    ``vertical_extras`` counts additional vectors that project to zero in the
-    plane and carry only vertical extent in 3-space; they contribute sticks
-    but no planar edges.
-    """
+    """An ordered collection of planar vectors summing to zero."""
 
     vectors: tuple[Vec2, ...]
-    vertical_extras: int = 0
-
-    def __post_init__(self) -> None:
-        if self.vertical_extras < 0:
-            raise InvalidParameterError("vertical_extras must be >= 0")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]],
-                   vertical_extras: int = 0) -> "VectorSet":
-        return cls(tuple(Vec2(x, y) for x, y in pairs), vertical_extras)
+    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "VectorSet":
+        return cls(tuple(Vec2(x, y) for x, y in pairs))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -212,15 +201,13 @@ class Walk:
         return Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
 
 
-def regular_ngon(n: int, length: float = 1.0, phase: float = 0.0) -> VectorSet:
-    """The n vectors of equal length at angles ``phase + 2*pi*k/n``."""
+def regular_ngon(n: int, phase: float = 0.0) -> VectorSet:
+    """The n unit vectors at angles ``phase + 2*pi*k/n``."""
     if n < 3:
         raise InvalidParameterError(f"regular_ngon requires n >= 3, got {n}")
-    if length <= 0.0:
-        raise InvalidParameterError("length must be positive")
     vecs = tuple(
-        Vec2(length * math.cos(phase + 2.0 * math.pi * k / n),
-             length * math.sin(phase + 2.0 * math.pi * k / n))
+        Vec2(math.cos(phase + 2.0 * math.pi * k / n),
+             math.sin(phase + 2.0 * math.pi * k / n))
         for k in range(n)
     )
     return VectorSet(vecs)
@@ -290,7 +277,7 @@ def segment_intersection(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
 
     den = d1.cross(d2)
     if abs(den) <= eps * len1 * len2:
-        return _parallel_case(p0, p1, q0, q1, d1, d2, len1, len2, eps)
+        return _parallel_case(p0, q0, q1, d1, len1, eps)
 
     w = q0 - p0
     t = w.cross(d2) / den
@@ -311,8 +298,7 @@ def segment_intersection(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
     return Transversal(t=t, s=s, point=point)
 
 
-def _parallel_case(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
-                   d1: Vec2, d2: Vec2, len1: float, len2: float,
+def _parallel_case(p0: Vec2, q0: Vec2, q1: Vec2, d1: Vec2, len1: float,
                    eps: float) -> IntersectionResult:
     """Handle (near-)parallel segments: collinear overlap, endpoint touch, or miss."""
     off0 = abs((q0 - p0).cross(d1)) / len1
@@ -643,8 +629,8 @@ def _crossing_from_vertex_on_edge(walk: Walk, v: int, e: int,
 _NO_CROSSING = "no_crossing"
 
 
-def resolve_degeneracies(walk: Walk, contacts: Sequence[Degeneracy],
-                         eps: float = EPS_DEFAULT) -> list[Degeneracy]:
+def resolve_degeneracies(walk: Walk,
+                         contacts: Sequence[Degeneracy]) -> list[Degeneracy]:
     """Apply the resolution rules to detected contacts.
 
     vertex_coincidence and vertex_on_edge are resolved by angular
@@ -758,7 +744,7 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     pending = [Degeneracy(kind, inv, "unresolved"
                           if any(touches[v] > 1 for v in vs) else "pending")
                for (kind, inv), vs in zip(ordered, touching)]
-    resolved = resolve_degeneracies(collapsed, pending, eps)
+    resolved = resolve_degeneracies(collapsed, pending)
     degs += resolved + overlaps
     crossings = [d.crossing for d in resolved if d.crossing is not None]
     crossings += transversals

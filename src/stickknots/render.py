@@ -17,6 +17,7 @@ from .codes import CrossingAssignment
 
 __all__ = ["render_svg"]
 
+_SCALE = 120.0  # SVG units per unit length
 _MARGIN = 0.35
 _STROKE = 0.035
 _GAP = 0.11
@@ -50,8 +51,7 @@ def _gap_intervals(d: Diagram, a: Optional[CrossingAssignment],
 
 
 def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
-               vertex_labels: Optional[Mapping[int, str]] = None,
-               scale: float = 120.0) -> str:
+               vertex_labels: Optional[Mapping[int, str]] = None) -> str:
     """Render a diagram as an SVG document string.
 
     With an assignment, each under strand is drawn with a gap at its
@@ -72,19 +72,19 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
     ys = [p.y for p in verts]
     lo_x, hi_x = min(xs) - _MARGIN, max(xs) + _MARGIN
     lo_y, hi_y = min(ys) - _MARGIN, max(ys) + _MARGIN
-    width = (hi_x - lo_x) * scale
-    height = (hi_y - lo_y) * scale
+    width = (hi_x - lo_x) * _SCALE
+    height = (hi_y - lo_y) * _SCALE
 
     def px(p) -> tuple[str, str]:
         # flip y so the mathematical orientation matches the screen
-        return (_fmt((p.x - lo_x) * scale), _fmt((hi_y - p.y) * scale))
+        return (_fmt((p.x - lo_x) * _SCALE), _fmt((hi_y - p.y) * _SCALE))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<g fill="none" stroke="black" stroke-width="{_fmt(_STROKE * scale)}" '
-        'stroke-linecap="round">',
+        '<g fill="none" stroke="black" '
+        f'stroke-width="{_fmt(_STROKE * _SCALE)}" stroke-linecap="round">',
     ]
     for e in range(d.walk.n_edges):
         gaps = _gap_intervals(d, assignment, e)
@@ -103,8 +103,8 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
             lines.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}"/>')
     lines.append('</g>')
 
-    lines.append(f'<g font-family="monospace" font-size="{_fmt(_FONT * scale)}" '
-                 'fill="black">')
+    lines.append('<g font-family="monospace" '
+                 f'font-size="{_fmt(_FONT * _SCALE)}" fill="black">')
     center_x = (lo_x + hi_x) / 2.0
     center_y = (lo_y + hi_y) / 2.0
     for v in range(m):
@@ -115,7 +115,7 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
         off = 0.16
         lx = p.x + off * dx / norm
         ly = p.y + off * dy / norm
-        x, y = _fmt((lx - lo_x) * scale), _fmt((hi_y - ly) * scale)
+        x, y = _fmt((lx - lo_x) * _SCALE), _fmt((hi_y - ly) * _SCALE)
         text = str(v)
         if vertex_labels and v in vertex_labels:
             text = f"{v}:{escape(vertex_labels[v], quote=False)}"

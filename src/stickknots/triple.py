@@ -219,7 +219,8 @@ WORKED_SCHEME_PAIRING = ((5, 6), (1, "a"), (2, "c"), (3, "d"), (4, "b"))
 
 def _build_map(internal_pair: tuple[int, int],
                matching: tuple[tuple[int, str], ...]):
-    """Assemble the 4-valent map; return (twin, None) or (None, reason).
+    """Assemble the 4-valent map; return ((rotation, twin), None) or
+    (None, reason).
 
     Nodes are the three resolved triple crossings plus the ordinary
     crossing, each with a counterclockwise rotation of 4 ports.  ``twin``
@@ -283,7 +284,7 @@ def _build_map(internal_pair: tuple[int, int],
     return (rotation, twin), None
 
 
-def _count_faces(rotation, twin) -> int:
+def _count_faces(twin) -> int:
     """Faces of the rotation system, traced as orbits of rotate-after-twin."""
     seen = set()
     faces = 0
@@ -355,8 +356,8 @@ def enumerate_closures(up_to_symmetry: bool = False) -> tuple[ClosureScheme, ...
         built, _reason = _build_map(internal_pair, matching)
         if built is None:
             continue
-        rotation, twin = built
-        faces = _count_faces(rotation, twin)
+        twin = built[1]
+        faces = _count_faces(twin)
         if faces != 6 or not _single_component(twin):
             continue
         if up_to_symmetry:
@@ -405,7 +406,7 @@ def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
     if built is None:
         raise InvalidParameterError(reason)
     rotation, twin = built
-    if _count_faces(rotation, twin) != 6 or not _single_component(twin):
+    if _count_faces(twin) != 6 or not _single_component(twin):
         raise InvalidParameterError("scheme does not close into a planar knot")
 
     # Traverse the knot: record each crossing visit as (node, in-position).

@@ -159,6 +159,15 @@ def test_usage_errors_exit_2(capsys):
         assert "--labels" in err and repr(item) in err
 
 
+def test_format_applies_to_reports_only(capsys):
+    # verify and classify write json or text reports; render writes SVG
+    assert main(["verify", "6gon", "--format", "svg"]) == 2
+    assert "argument --format: invalid choice" in capsys.readouterr().err
+    assert main(["render", "--n", "5", "--ordering", "0,3,1,4,2",
+                 "--format", "json"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_malformed_input_diagram_exits_2(tmp_path, capsys):
     # a missing field, and a crossing on edge 7 of a 3-edge walk
     bad_edge = {"vertices": [[0, 0], [1, 0], [0, 1], [0, 0]],

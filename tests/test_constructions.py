@@ -1,17 +1,25 @@
 """Named constructions, selection sweep, exhaustive censuses."""
 
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
+from stickknots import constructions
 from stickknots.geometry import (
+    EPS_DEFAULT,
     InvalidParameterError,
     Ordering,
     Vec2,
     diagram_from_ordering,
     regular_ngon,
 )
-from stickknots.codes import alternating_assignment, classify
+from stickknots.codes import (
+    alternating_assignment,
+    classify,
+    merge_crossingless_runs,
+)
 from stickknots.heights import constraints_from_assignment, verify_certificate
 from stickknots.constructions import (
     PENTAGRAM_ORDERING,
@@ -102,11 +110,13 @@ def test_exhaustive_6gon_all_unknot():
     assert rep.orderings == 120
     assert not rep.unresolved
     assert rep.all_unknot
-    assert set(rep.class_counts) == {"unknot"}
+    assert rep.class_counts == {"unknot": 132}
 
 
 def test_figure_eight_8gon_construction():
     d, a, cert, k = figure_eight_8gon()
+    assert d.ordering.perm == (0, 2, 4, 7, 1, 6, 3, 5)
+    assert a.bits == 5
     assert d.n_crossings == 4
     assert k.kind == "figure_eight"
     system = constraints_from_assignment(d, a)
@@ -154,6 +164,51 @@ def test_canonical_classes_partition_all_orderings():
     assert sum(orbit for _, orbit in classes) == 120
     reps = {o.perm for o, _ in classes}
     assert len(reps) == len(classes)
+
+
+def _classes_by_minimum_image(n, use_symmetry):
+    """Reference grouping: every first-fixed ordering keyed by the smallest of
+    its images (word or reversed word, relabelled i -> +-i + k, rotated to
+    start at 0), classes sorted by key."""
+    relabelings = ([(s, k) for s in (1, -1) for k in range(n)]
+                   if use_symmetry else [(1, 0)])
+
+    def images(perm):
+        for word in ((perm, perm[::-1]) if use_symmetry else (perm,)):
+            for s, k in relabelings:
+                w = [(s * i + k) % n for i in word]
+                z = w.index(0)
+                yield tuple(w[z:] + w[:z])
+
+    keys = Counter(min(images((0,) + rest))
+                   for rest in itertools.permutations(range(1, n)))
+    return [(Ordering(key), orbit) for key, orbit in sorted(keys.items())]
+
+
+@pytest.mark.parametrize("use_symmetry", [True, False])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_canonical_classes_equal_minimum_image_grouping(n, use_symmetry):
+    assert (canonical_ordering_classes(n, use_symmetry)
+            == _classes_by_minimum_image(n, use_symmetry))
+
+
+def test_nine_gon_classes_partition_all_orderings():
+    classes = canonical_ordering_classes(9)
+    assert len(classes) == 1219
+    assert sum(orbit for _, orbit in classes) == 40320
+
+
+def test_census_forwards_eps_to_stick_merging(monkeypatch):
+    assert merge_crossingless_runs.__defaults__ == (EPS_DEFAULT,)
+    seen = []
+
+    def spy(d, eps=None):
+        seen.append(eps)
+        return merge_crossingless_runs(d, eps)
+
+    monkeypatch.setattr(constructions, "merge_crossingless_runs", spy)
+    search_ngon(5, eps=1e-7)
+    assert seen and set(seen) == {1e-7}
 
 
 def test_symmetry_reduction_preserves_class_outcomes():

@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/stickknots imports a name it never
-uses or defines a top-level name that nothing reads."""
+uses, defines a top-level name that nothing reads, or gives a function a
+parameter that its body neither reads nor deletes."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,39 @@ def test_no_unread_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of functions that the function body never reads.
+
+    A parameter counts as read when the body (nested functions included)
+    loads it, or deletes it with ``del``, which marks it unused on purpose.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)
+                and isinstance(n.ctx, (ast.Load, ast.Del))}
+        out += [f"{node.name}.{a.arg} (line {node.lineno})" for a in params
+                if a.arg not in read]
+    return out
+
+
+def test_unread_parameter_detector():
+    source = ("def f(a, b, *args, c, **kw):\n    del c\n    return a\n"
+              "def g(x):\n    def h(y):\n        return x\n    return h\n")
+    assert unread_parameters(source) == [
+        "f.b (line 1)", "f.args (line 1)", "f.kw (line 1)", "h.y (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_unused_import_detector():
