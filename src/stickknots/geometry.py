@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "EPS_DEFAULT",
@@ -40,7 +40,6 @@ __all__ = [
     "build_walk",
     "segment_intersection",
     "detect_crossings",
-    "resolve_degeneracies",
     "diagram_from_ordering",
     "polar_sort",
     "sign_components_ok",
@@ -491,7 +490,7 @@ class Diagram:
 
 
 # ---------------------------------------------------------------------------
-# Degeneracy resolution helpers
+# Crossing detection: every crossing is two strands through one point
 
 
 def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
@@ -530,13 +529,19 @@ def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
     return collapsed, degs
 
 
-def _ray_directions_at(walk: Walk, vertex: int) -> tuple[Vec2, Vec2]:
-    """The two rays leaving a walk vertex: backwards along the incoming edge
-    and forwards along the outgoing edge."""
-    m = walk.n_edges
-    d_in = walk.edge_vec((vertex - 1) % m)
-    d_out = walk.edge_vec(vertex % m)
-    return (-d_in), d_out
+class _Strand(NamedTuple):
+    """The walk passing through a point: edge ``edge`` at parameter ``t``,
+    and the rays leaving the point backwards and forwards along the walk.
+    At t = 1.0 the strand turns the corner at vertex ``edge + 1``."""
+
+    edge: int
+    t: float
+    rays: tuple[Vec2, Vec2]
+
+
+def _strand(walk: Walk, edge: int, t: float) -> _Strand:
+    d = walk.edge_vec(edge)
+    return _Strand(edge, t, (-d, walk.edge_vec(edge + 1) if t == 1.0 else d))
 
 
 #: Rays closer than this angle (radians) cannot be told apart.
@@ -564,102 +569,46 @@ def _interleaved(rays_a: tuple[Vec2, Vec2],
     return pattern[0] != pattern[1] and pattern[1] != pattern[2]
 
 
-def _strand_tangent(rays: tuple[Vec2, Vec2]) -> Vec2:
-    """Direction of travel through a vertex contact: the mean of the incoming
-    and outgoing unit directions (equal to both for a straight pass)."""
+def _tangent(rays: tuple[Vec2, Vec2]) -> Vec2:
+    """Direction of travel through the point: the sum of the incoming and
+    outgoing unit directions (parallel to both for a straight pass)."""
     back, fwd = rays
-    d_in = (-back).normalized()
-    d_out = fwd.normalized()
-    t = d_in + d_out
-    if t.norm() <= 1e-12:
-        # Perfect retrace should have been collapsed; fall back to incoming.
-        return d_in
-    return t.normalized()
+    nb, nf = back.norm(), fwd.norm()
+    return Vec2(fwd.x / nf - back.x / nb, fwd.y / nf - back.y / nb)
 
 
-def _sign_from_tangents(t_a: Vec2, t_b: Vec2) -> int:
-    return 1 if t_a.cross(t_b) > 0.0 else -1
-
-
-def _crossing_from_vertex_pair(walk: Walk, va: int, vb: int) -> Optional[Crossing]:
-    """Resolve two coincident walk vertices into a crossing or a touch."""
-    m = walk.n_edges
-    rays_a = _ray_directions_at(walk, va)
-    rays_b = _ray_directions_at(walk, vb)
-    inter = _interleaved(rays_a, rays_b)
-    if inter is None or not inter:
-        return None if inter is None else _NO_CROSSING
-    ea = (va - 1) % m
-    eb = (vb - 1) % m
-    point = walk.vertex(va)
-    sign = _sign_from_tangents(_strand_tangent(rays_a), _strand_tangent(rays_b))
-    if ea > eb:
-        # Swapping the strand roles flips the cross product.
-        ea, eb = eb, ea
-        sign = -sign
-    return Crossing(edge_a=ea, edge_b=eb, t_a=1.0, t_b=1.0, point=point, sign=sign)
-
-
-def _crossing_from_vertex_on_edge(walk: Walk, v: int, e: int,
-                                  s: float) -> Optional[Crossing]:
-    """Resolve a walk vertex lying on the interior of a non-incident edge."""
-    m = walk.n_edges
-    rays_v = _ray_directions_at(walk, v)
-    d_e = walk.edge_vec(e)
-    rays_e = (-d_e, d_e)
-    inter = _interleaved(rays_v, rays_e)
-    if inter is None:
-        return None
-    if not inter:
-        return _NO_CROSSING
-    point = walk.vertex(v)
-    corner_edge = (v - 1) % m
-    tan_v = _strand_tangent(rays_v)
-    tan_e = d_e.normalized()
-    if corner_edge < e:
-        sign = _sign_from_tangents(tan_v, tan_e)
-        return Crossing(edge_a=corner_edge, edge_b=e, t_a=1.0, t_b=s,
-                        point=point, sign=sign)
-    sign = _sign_from_tangents(tan_e, tan_v)
-    return Crossing(edge_a=e, edge_b=corner_edge, t_a=s, t_b=1.0,
+def _crossing(a: _Strand, b: _Strand, point: Vec2) -> Crossing:
+    """The crossing of two strands at a point: the lower edge is edge_a, and
+    the sign is that of cross(tangent on edge_a, tangent on edge_b)."""
+    if a.edge > b.edge:
+        a, b = b, a
+    sign = 1 if _tangent(a.rays).cross(_tangent(b.rays)) > 0.0 else -1
+    return Crossing(edge_a=a.edge, edge_b=b.edge, t_a=a.t, t_b=b.t,
                     point=point, sign=sign)
 
 
-#: Sentinel distinguishing "resolved, no crossing" from "unresolved" (None).
-_NO_CROSSING = "no_crossing"
+def _resolve_contact(walk: Walk, kind: str,
+                     involved: tuple[int, int]) -> Degeneracy:
+    """Resolve a vertex contact by the angular interleaving of its strands.
 
-
-def resolve_degeneracies(walk: Walk,
-                         contacts: Sequence[Degeneracy]) -> list[Degeneracy]:
-    """Apply the resolution rules to detected contacts.
-
-    vertex_coincidence and vertex_on_edge are resolved by angular
-    interleaving of the four rays leaving the shared point: the strands
-    cross there exactly when one strand's rays separate the other's.
-    collinear_overlap stays unresolved (the diagram is flagged); retrace
-    pairs arrive already collapsed.
+    The first strand turns the corner at vertex ``involved[0]``; the second
+    turns the corner at vertex ``involved[1]`` for a vertex_coincidence, and
+    passes through the interior of edge ``involved[1]`` for a
+    vertex_on_edge.  The strands cross exactly when one strand's rays
+    separate the other's; indistinguishable rays leave the contact
+    unresolved.
     """
-    resolved: list[Degeneracy] = []
-    for deg in contacts:
-        if deg.resolution != "pending":
-            resolved.append(deg)
-            continue
-        if deg.kind == "vertex_coincidence":
-            va, vb = deg.involved
-            out = _crossing_from_vertex_pair(walk, va, vb)
-        elif deg.kind == "vertex_on_edge":
-            v, e = deg.involved
-            s = _vertex_on_edge_param(walk, v, e)
-            out = _crossing_from_vertex_on_edge(walk, v, e, s)
-        else:
-            out = None
-        if out is None:
-            resolved.append(Degeneracy(deg.kind, deg.involved, "unresolved"))
-        elif out == _NO_CROSSING:
-            resolved.append(Degeneracy(deg.kind, deg.involved, "no_crossing"))
-        else:
-            resolved.append(Degeneracy(deg.kind, deg.involved, "crossing", out))
-    return resolved
+    m = walk.n_edges
+    v, w = involved
+    a = _strand(walk, (v - 1) % m, 1.0)
+    b = (_strand(walk, (w - 1) % m, 1.0) if kind == "vertex_coincidence"
+         else _strand(walk, w, _vertex_on_edge_param(walk, v, w)))
+    inter = _interleaved(a.rays, b.rays)
+    if not inter:
+        return Degeneracy(kind, involved,
+                          "unresolved" if inter is None else "no_crossing")
+    return Degeneracy(kind, involved, "crossing",
+                      _crossing(a, b, walk.vertex(v)))
 
 
 def _vertex_on_edge_param(walk: Walk, v: int, e: int) -> float:
@@ -693,8 +642,10 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     vertex contacts (coincident vertices and vertices on other edges);
     finally each vertex contact is resolved by angular interleaving.  A
     vertex in more than one contact (a triple point) leaves all of its
-    contacts unresolved.  Crossings are sorted by (edge_a, t_a).  Collinear
-    overlaps and unresolvable contacts flag the diagram.
+    contacts unresolved.  Transversals and resolved contacts alike are two
+    strands through one point, built into a :class:`Crossing` by one rule.
+    Crossings are sorted by (edge_a, t_a).  Collinear overlaps and
+    unresolvable contacts flag the diagram.
     """
     collapsed, degs = _collapse_retraces(walk, eps)
     m = collapsed.n_edges
@@ -714,11 +665,9 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
             if res is None:
                 continue
             if isinstance(res, Transversal):
-                sign = _sign_from_tangents(collapsed.edge_vec(i),
-                                           collapsed.edge_vec(j))
-                transversals.append(Crossing(edge_a=i, edge_b=j, t_a=res.t,
-                                             t_b=res.s, point=res.point,
-                                             sign=sign))
+                transversals.append(_crossing(_strand(collapsed, i, res.t),
+                                              _strand(collapsed, j, res.s),
+                                              res.point))
             elif res.kind == "collinear_overlap":
                 overlaps.append(Degeneracy("collinear_overlap", (i, j),
                                            "unresolved"))
@@ -741,10 +690,10 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     touching = [inv if kind == "vertex_coincidence" else inv[:1]
                 for kind, inv in ordered]
     touches = Counter(v for vs in touching for v in vs)
-    pending = [Degeneracy(kind, inv, "unresolved"
-                          if any(touches[v] > 1 for v in vs) else "pending")
-               for (kind, inv), vs in zip(ordered, touching)]
-    resolved = resolve_degeneracies(collapsed, pending)
+    resolved = [Degeneracy(kind, inv, "unresolved")
+                if any(touches[v] > 1 for v in vs)
+                else _resolve_contact(collapsed, kind, inv)
+                for (kind, inv), vs in zip(ordered, touching)]
     degs += resolved + overlaps
     crossings = [d.crossing for d in resolved if d.crossing is not None]
     crossings += transversals

@@ -281,7 +281,8 @@ def feasible_assignments(d: Diagram,
     steps = [R[k] / (2.0 * float(np.max(gram[k, :k + 1]))) for k in range(c)]
     # addRow arguments of each crossing's row, by bit: 0 negates it
     entries = [(_row_entries(-r), _row_entries(r)) for r in R]
-    signs = np.ones(c)
+    # the signed rows of the current path: S[:k + 1] is a cell's system
+    S = R.copy()
     model = _lp_model(R[:1], presolve=False)
     cells = []  # (bits, witness heights, margin) of the full cells found
 
@@ -290,9 +291,10 @@ def feasible_assignments(d: Diagram,
             cells.append((bits, z, margin))
             return
         for bit in (0, 1):
-            signs[k] = 2.0 * bit - 1.0
-            A = R[:k + 1] * signs[:k + 1, None]
-            w = z + signs[k] * margin * steps[k]
+            sign = 2.0 * bit - 1.0
+            S[k] = R[k] if bit else -R[k]
+            A = S[:k + 1]
+            w = z + sign * margin * steps[k]
             slack = float(np.min(A @ w))
             witness = None
             if slack > 0.0:

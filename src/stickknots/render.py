@@ -35,19 +35,17 @@ def _gap_intervals(d: Diagram, a: Optional[CrossingAssignment],
     """Parameter ranges of `edge` hidden because it passes under."""
     if a is None:
         return []
-    length = d.walk.edge_vec(edge).norm()
-    half = _GAP / (2.0 * length)
-    out = []
+    under = []
     for k, c in enumerate(d.crossings):
         if c.edge_a == edge and not a.over_a[k]:
-            t = c.t_a
+            under.append(c.t_a)
         elif c.edge_b == edge and a.over_a[k]:
-            t = c.t_b
-        else:
-            continue
-        out.append((max(0.0, t - half), min(1.0, t + half)))
-    out.sort()
-    return out
+            under.append(c.t_b)
+    if not under:
+        # an edge with no gap may have zero length (a walk that collapsed)
+        return []
+    half = _GAP / (2.0 * d.walk.edge_vec(edge).norm())
+    return sorted((max(0.0, t - half), min(1.0, t + half)) for t in under)
 
 
 def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,

@@ -457,6 +457,17 @@ def classify_closure(scheme: ClosureScheme, label: TripleLabeling,
     return classify_jones(jones(pd, w))
 
 
+def _classified_cases(schemes: tuple[ClosureScheme, ...]) -> Iterator[
+        tuple[ClosureScheme, TripleLabeling, bool, KnotClass]]:
+    """Every scheme with every height labeling and ordinary-crossing
+    choice, and the knot class of each."""
+    for scheme in schemes:
+        for label in all_labelings():
+            for trad_over_ad in (False, True):
+                yield (scheme, label, trad_over_ad,
+                       classify_closure(scheme, label, trad_over_ad))
+
+
 def classify_triple_plus_one() -> frozenset[KnotClass]:
     """Knot classes over every planar closure, labeling and crossing choice.
 
@@ -464,33 +475,22 @@ def classify_triple_plus_one() -> frozenset[KnotClass]:
     clockwise/counterclockwise recipe), all 6 height labelings of the triple
     crossing and both choices at the ordinary crossing.
     """
-    out = set()
-    for scheme in enumerate_closures():
-        for label in all_labelings():
-            for trad_over_ad in (False, True):
-                out.add(classify_closure(scheme, label, trad_over_ad))
-    return frozenset(out)
+    return frozenset(k for *_, k in _classified_cases(enumerate_closures()))
 
 
 def triple_report() -> dict:
     """JSON-ready report: every scheme, labeling, choice and its class."""
-    rows = []
-    kinds = set()
-    for scheme in enumerate_closures():
-        for label in all_labelings():
-            for trad_over_ad in (False, True):
-                k = classify_closure(scheme, label, trad_over_ad)
-                kinds.add(k.kind)
-                rows.append({
-                    "internal_pair": list(scheme.internal_pair),
-                    "matching": [[e, t] for e, t in scheme.matching],
-                    "labeling": list(label.heights),
-                    "ordinary_over_ad": trad_over_ad,
-                    "class": k.label,
-                })
+    schemes = enumerate_closures()
+    cases = list(_classified_cases(schemes))
     return {
-        "schemes": len(enumerate_closures()),
-        "cases": len(rows),
-        "kinds": sorted(kinds),
-        "rows": rows,
+        "schemes": len(schemes),
+        "cases": len(cases),
+        "kinds": sorted({k.kind for *_, k in cases}),
+        "rows": [{
+            "internal_pair": list(scheme.internal_pair),
+            "matching": [[e, t] for e, t in scheme.matching],
+            "labeling": list(label.heights),
+            "ordinary_over_ad": trad_over_ad,
+            "class": k.label,
+        } for scheme, label, trad_over_ad, k in cases],
     }

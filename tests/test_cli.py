@@ -109,6 +109,17 @@ def test_render_deterministic(tmp_path, capsys):
     assert out1.read_text().startswith("<?xml")
 
 
+def test_render_walk_that_collapses_to_a_point(capsys):
+    # 0,2,1,3 on the square retraces onto itself, and the collapsed walk is
+    # one zero-length edge: drawing it must not divide by that length
+    code, out = run(capsys, "render", "--n", "4", "--ordering", "0,2,1,3",
+                    "--assignment", "0")
+    assert code == 0
+    root = ElementTree.fromstring(out)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}line"))) == 1
+
+
 def test_render_escapes_label_text(tmp_path):
     out = tmp_path / "labels.svg"
     assert main(["render", "--n", "5", "--ordering", "0,3,1,4,2",

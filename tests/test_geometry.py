@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,6 +331,38 @@ def test_perturbation_oracle_preserves_crossing_parity(verts):
         d = detect_crossings(Walk(tuple(pts) + (pts[0],)))
         assert not d.is_degenerate
         assert d.n_crossings % 2 == resolved % 2
+
+
+def _assert_reflection_negates_signs(walk: Walk) -> Diagram:
+    """The mirror image y -> -y of a walk has the same crossings, on the same
+    edges at the same parameters, with every sign negated, and the same
+    degeneracies.  Returns the walk's diagram."""
+    d = detect_crossings(walk)
+    r = detect_crossings(Walk(tuple(Vec2(v.x, -v.y) for v in walk.vertices)))
+    assert [(c.edge_a, c.edge_b, c.t_a, c.t_b, -c.sign) for c in d.crossings] \
+        == [(c.edge_a, c.edge_b, c.t_a, c.t_b, c.sign) for c in r.crossings]
+    assert [(g.kind, g.involved, g.resolution) for g in d.degeneracies] \
+        == [(g.kind, g.involved, g.resolution) for g in r.degeneracies]
+    return d
+
+
+def test_reflection_negates_every_crossing_sign():
+    # one sign rule for transversals, coincident corners and corners on
+    # edges: cross(tangent on edge_a, tangent on edge_b) flips with y
+    from stickknots.constructions import canonical_ordering_classes
+    walks = [build_walk(regular_ngon(n), ordering)
+             for n in range(5, 10)
+             for ordering, _orbit in canonical_ordering_classes(n)]
+    rng = random.Random(20261018)
+    walks += [walk_from_integer_vertices(
+        random_integer_walk(rng, rng.randint(4, 9))) for _ in range(500)]
+    kinds = Counter()
+    for walk in walks:
+        d = _assert_reflection_negates_signs(walk)
+        kinds.update(g.kind for g in d.degeneracies
+                     if g.resolution == "crossing")
+    # both contact kinds became crossings, so all three kinds were checked
+    assert kinds["vertex_coincidence"] > 0 and kinds["vertex_on_edge"] > 0
 
 
 # ---------------------------------------------------------------------------

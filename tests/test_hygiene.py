@@ -1,13 +1,15 @@
 """Source hygiene: no module under src/stickknots imports a name it never
-uses, defines a top-level name that nothing reads, or gives a function a
-parameter that its body neither reads nor deletes."""
+uses, defines a top-level name that nothing reads, exports a function that
+no other module reads, or gives a function a parameter that its body
+neither reads nor deletes."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stickknots"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stickknots"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -43,6 +45,19 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module loads, reads as an attribute or imports by name."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """Top-level functions, classes and assignments that nothing reads.
 
@@ -52,15 +67,7 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     are skipped.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read: set[str] = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    read = set().union(*map(_reads, trees.values()))
     out = []
     for mod, tree in sorted(trees.items()):
         exported = _exported(tree)
@@ -94,6 +101,43 @@ def test_no_unread_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources) == []
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """Functions that a module lists in ``__all__`` and no other module reads.
+
+    ``sources`` maps module names to source text.  A function counts as
+    read when a module other than its own loads the name, reads it as an
+    attribute or imports it by name.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = {mod: _reads(tree) for mod, tree in trees.items()}
+    out = []
+    for mod, tree in sorted(trees.items()):
+        exported = _exported(tree)
+        elsewhere = set().union(*(r for m, r in reads.items() if m != mod))
+        out += [f"{mod}.{node.name} (line {node.lineno})"
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in exported and node.name not in elsewhere]
+    return out
+
+
+def test_unread_export_detector():
+    sources = {
+        "a": "__all__ = ['f', 'g', 'h', 'K']\ndef f(): return g()\n"
+             "def g(): pass\ndef h(): pass\nK = 1\n",
+        "b": "from a import h\n",
+    }
+    assert unread_exports(sources) == ["a.f (line 2)", "a.g (line 3)"]
+
+
+def test_no_unread_exports():
+    # every exported function has a reader in src/, tests/ or bench/
+    sources = {f"{path.parent.name}.{path.stem}": path.read_text(
+        encoding="utf-8") for folder in (SRC, ROOT / "tests", ROOT / "bench")
+        for path in sorted(folder.rglob("*.py"))}
+    assert unread_exports(sources) == []
 
 
 def unread_parameters(source: str) -> list[str]:
