@@ -5,16 +5,20 @@ every crossing give a *signed* Gauss code: the crossing visits in walk
 order, each marked over or under and carrying the crossing's writhe sign
 (+1 when the over strand passes from the right of the under strand to its
 left).  ``gauss_to_pd`` turns that code, and nothing else, into a planar-diagram
-(PD) code.  ``_bracket``, the one bracket engine, adds the crossings one at
-a time to a growing tangle and keeps the smoothings of each pairing of its
-open arc ends, so its cost follows the tangle's boundary rather than 2^c
-(Bar-Natan, "Fast Khovanov homology computations", JKTR 2007); the writhe
+(PD) code.  The one bracket engine comes in two halves.
+``_contraction_plan`` adds the crossings one at a time to a growing tangle
+and records, for each pairing of its open arc ends, where each smoothing
+sends it, so its cost follows the tangle's boundary rather than 2^c
+(Bar-Natan, "Fast Khovanov homology computations", JKTR 2007); none of
+this depends on the over/under choices.  ``_evaluate`` pushes one
+assignment's smoothing counts through that plan, and the writhe
 normalization gives the Jones polynomial.  ``BracketTable`` keeps one
-projection's PD code and brackets each crossing assignment as a flip of
-it.  The knot is classified among the small types (unknot, 3_1, 4_1, 5_1,
-5_2) that the stick constructions can produce, against reference
-polynomials computed in-process from standard minimal PD fixtures and
-validated by determinants; tricolorability is read off the determinant.
+projection's PD code and its plan, built on first use, and brackets each
+crossing assignment as a flip of it.  The knot is classified among the
+small types (unknot, 3_1, 4_1, 5_1, 5_2) that the stick constructions can
+produce, against reference polynomials computed in-process from standard
+minimal PD fixtures and validated by determinants; tricolorability is read
+off the determinant.
 """
 
 from __future__ import annotations
@@ -307,61 +311,96 @@ def _loop_power(k: int) -> LaurentPoly:
     return LaurentPoly.one() if k == 0 else _loop_power(k - 1) * LOOP_FACTOR
 
 
-def _bracket(pd: PDCode, flip: int) -> LaurentPoly:
-    """Kauffman bracket of a PD code by contraction into a growing tangle.
+#: One contraction step: the crossing joined, the number of open-end states
+#: after it, and for each state before it the row (A-child, loops the
+#: A-smoothing closes, B-child, loops the B-smoothing closes).
+_Step = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
 
-    Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
-    what flipping its over/under does.  Crossings join the tangle one at a
-    time, each time the one sharing the most arcs with the tangle's open
-    ends (ties to the lowest index), which keeps the boundary short on
-    planar diagrams.  A state is a pairing of the open ends: ``partners``
-    lists, for each end in ``ends`` order, the end the tangle joins it to.
-    Each state counts its smoothings by (#A - #B, closed loops), packed
-    into one key (#A - #B) * stride + loops.  Smoothing a crossing joins
-    its arc ends in two pairs; each join either closes a loop or
-    reconnects two partners.
+
+def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
+    """The flip-independent half of the bracket: how a PD code contracts.
+
+    Crossings join a growing tangle one at a time, each time the one
+    sharing the most arcs with the tangle's open ends (ties to the lowest
+    index), which keeps the boundary short on planar diagrams.  A state is
+    a pairing of the open ends: for each end in ``ends`` order, the end the
+    tangle joins it to.  Smoothing a crossing joins its arc ends in two
+    pairs; each join either closes a loop or reconnects two partners.  The
+    states reachable after each step, and where each smoothing sends each
+    state, depend on the PD code alone, so they are worked out here once,
+    as state indices, and every assignment reuses them (``_evaluate``).
     """
     uses = Counter(arc for tup in pd for arc in tup)
     for arc, times in sorted(uses.items()):
         if times != 2:
             raise InvalidParameterError(
                 f"arc label {arc} appears {times} times (expected 2)")
-    if not pd:
-        return LaurentPoly.one()  # a crossingless diagram is one loop
-    stride = 2 * len(pd) + 1  # each crossing closes at most two loops
     seen: Counter = Counter()
     ends: list[int] = []
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    states: list[tuple[int, ...]] = [()]
     left = list(range(len(pd)))
+    steps = []
     while left:
-        k = max(left, key=lambda j: (sum(seen[x] == 1 for x in pd[j]), -j))
+        # an open end appears at most once among the arcs of one crossing
+        open_ends = set(ends)
+        k = max(left, key=lambda j: (len(open_ends.intersection(pd[j])), -j))
         left.remove(k)
         tup = pd[k]
         seen.update(tup)
         new_ends = [x for x in ends + list(tup) if seen[x] == 1]
-        smoothings = ((stride, _PAIR_A), (-stride, _PAIR_B))
-        if flip >> k & 1:
-            smoothings = ((stride, _PAIR_B), (-stride, _PAIR_A))
-        grown: dict[tuple[int, ...], dict[int, int]] = {}
-        for partners, counts in states.items():
-            for shift, pairing in smoothings:
-                partner = dict(zip(ends, partners))
-                delta = shift
+        index: dict[tuple[int, ...], int] = {}
+        table = []
+        for partners in states:
+            row: list[int] = []
+            joined = dict(zip(ends, partners))
+            for pairing in (_PAIR_A, _PAIR_B):
+                partner = joined.copy()
+                loops = 0
                 for i, j in pairing:
                     x, y = tup[i], tup[j]
                     if x == y or partner.get(x) == y:
                         partner.pop(x, None)
                         partner.pop(y, None)
-                        delta += 1  # one more closed loop
+                        loops += 1
                     else:
                         a, b = partner.pop(x, x), partner.pop(y, y)
                         partner[a], partner[b] = b, a
-                out = grown.setdefault(tuple(partner[x] for x in new_ends), {})
-                for key, n in counts.items():
+                child = tuple(map(partner.__getitem__, new_ends))
+                row += (index.setdefault(child, len(index)), loops)
+            table.append(tuple(row))
+        steps.append((k, len(index), tuple(table)))
+        states, ends = list(index), new_ends
+    return tuple(steps)
+
+
+def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
+    """Kauffman bracket of a contraction plan's PD code under ``flip``.
+
+    Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
+    what flipping its over/under does.  Each state counts its smoothings by
+    (#A - #B, closed loops), packed into one key (#A - #B) * stride + loops;
+    a step adds +-stride plus the loops closed to every key of a state and
+    merges the result into the child the plan names.
+    """
+    if not plan:
+        return LaurentPoly.one()  # a crossingless diagram is one loop
+    stride = 2 * len(plan) + 1  # each crossing closes at most two loops
+    counts: list[dict[int, int]] = [{0: 1}]
+    for k, n_states, table in plan:
+        shift = -stride if flip >> k & 1 else stride
+        grown: list[Optional[dict[int, int]]] = [None] * n_states
+        for (a_child, a_loops, b_child, b_loops), state in zip(table, counts):
+            for child, delta in ((a_child, shift + a_loops),
+                                 (b_child, b_loops - shift)):
+                out = grown[child]
+                if out is None:
+                    grown[child] = {key + delta: n for key, n in state.items()}
+                    continue
+                for key, n in state.items():
                     out[key + delta] = out.get(key + delta, 0) + n
-        states, ends = grown, new_ends
+        counts = grown
     coeffs: dict[int, int] = {}
-    for key, n in states[()].items():
+    for key, n in counts[0].items():
         exp, loops = divmod(key, stride)
         for e, c in _loop_power(loops - 1).coeffs.items():
             coeffs[exp + e] = coeffs.get(exp + e, 0) + n * c
@@ -374,8 +413,8 @@ def _normalize(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
 
 
 def kauffman_bracket(pd: PDCode) -> LaurentPoly:
-    """Kauffman bracket of a PD code."""
-    return _bracket(pd, 0)
+    """Kauffman bracket of a PD code: its contraction plan at flip 0."""
+    return _evaluate(_contraction_plan(pd), 0)
 
 
 def jones(pd: PDCode, writhe: int) -> LaurentPoly:
@@ -505,10 +544,6 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
     Jones polynomial decides (it separates all knots of up to 5 crossings,
     up to chirality, from each other and from the unknot).
     """
-    d.require_clean()
-    _check_assignment(d, a)
-    if d.n_crossings < 3:
-        return UNKNOT
     return BracketTable(d).classify(a)
 
 
@@ -615,11 +650,13 @@ def alternating_assignment(d: Diagram) -> Optional[CrossingAssignment]:
 class BracketTable:
     """One projection's PD code, shared across its crossing assignments.
 
-    Arc labels and the contraction order do not depend on over/under
+    Arc labels and the contraction plan do not depend on over/under
     choices; flipping a crossing only swaps its A and B smoothings.  The
     PD code is built once with every ``edge_a`` under, so the bits of an
-    assignment are exactly the crossings whose smoothings swap, and each
-    bracket is one contraction of that code.
+    assignment are exactly the crossings whose smoothings swap.  The plan
+    is built on the first ``bracket`` call and kept, so each bracket is one
+    evaluation of it; a table that never brackets (fewer than 3 crossings,
+    or ``classify`` never called) never builds one.
     """
 
     def __init__(self, d: Diagram) -> None:
@@ -627,18 +664,22 @@ class BracketTable:
         self.diagram = d
         self.n_crossings = d.n_crossings
         self._pd = gauss_to_pd(extract_gauss_code(d, base))
+        self._plan: Optional[tuple[_Step, ...]] = None
 
     def writhe(self, a: CrossingAssignment) -> int:
         return diagram_writhe(self.diagram, a)
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
         _check_assignment(self.diagram, a)
-        return _bracket(self._pd, a.bits)
+        if self._plan is None:
+            self._plan = _contraction_plan(self._pd)
+        return _evaluate(self._plan, a.bits)
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
         return _normalize(self.bracket(a), self.writhe(a))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
+        _check_assignment(self.diagram, a)
         if self.n_crossings < 3:
             return UNKNOT
         return classify_jones(self.jones(a))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stickknots import codes
 from stickknots.geometry import (
     Ordering,
     diagram_from_ordering,
@@ -263,6 +264,95 @@ def test_27_crossing_star_brackets_without_a_cap():
         assert determinant(pd) % 2 == 1
         assert table.jones(a) == j
         assert classify(d, a) == table.classify(a) == classify_jones(j)
+
+
+def test_table_classify_checks_the_assignment_below_three_crossings():
+    d = _diagram(5, Ordering((0, 1, 2, 3, 4)))
+    assert d.n_crossings == 0
+    a = CrossingAssignment((False,) * 7)
+    with pytest.raises(InvalidParameterError, match="covers 7 crossings"):
+        BracketTable(d).classify(a)
+    with pytest.raises(InvalidParameterError, match="covers 7 crossings"):
+        classify(d, a)
+    assert BracketTable(d).classify(CrossingAssignment(())) == UNKNOT
+
+
+@pytest.mark.parametrize("pd, message", [
+    (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 7)), "arc label 3 appears 1 times"),
+    (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 1)), "arc label 1 appears 3 times"),
+], ids=["once", "three_times"])
+def test_pd_with_an_arc_not_used_twice_is_rejected(pd, message):
+    for evaluate in (kauffman_bracket, lambda pd: jones(pd, 3), determinant):
+        with pytest.raises(InvalidParameterError, match=message):
+            evaluate(pd)
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """The PD codes handed to the contraction-plan builder, in call order."""
+    builds = []
+    build = codes._contraction_plan
+
+    def spy(pd):
+        builds.append(pd)
+        return build(pd)
+
+    monkeypatch.setattr(codes, "_contraction_plan", spy)
+    return builds
+
+
+def test_table_builds_its_contraction_plan_once(plan_builds):
+    d = _diagram(8, OCTAGRAM)
+    table = BracketTable(d)
+    assert plan_builds == []  # built on first use, not with the table
+    rng = random.Random(16)
+    for bits in rng.sample(range(1 << 16), 20):
+        table.classify(CrossingAssignment.from_bits(16, bits))
+    assert plan_builds == [table._pd]
+
+
+def test_table_below_three_crossings_builds_no_plan(plan_builds):
+    d = _diagram(6, Ordering((0, 1, 2, 3, 4, 5)))
+    table = BracketTable(d)
+    assert table.classify(CrossingAssignment(())) == UNKNOT
+    kink = detect_crossings(walk_from_integer_vertices(
+        [(0, 0), (4, 0), (4, 2), (2, 2), (2, -2), (0, -2)]))
+    for bits in (0, 1):
+        assert BracketTable(kink).classify(
+            CrossingAssignment.from_bits(1, bits)) == UNKNOT
+    assert plan_builds == []
+
+
+def test_census_builds_at_most_one_plan_per_diagram(plan_builds):
+    from stickknots.constructions import search_ngon
+    catalog = search_ngon(7)
+    labelled = [r for r in catalog.records
+                if not r.degenerate and r.crossings >= 3 and r.feasible]
+    assert labelled
+    # one build per diagram that has an assignment to label, none otherwise
+    assert len(plan_builds) == len(labelled)
+    assert [len(pd) for pd in plan_builds] == [r.crossings for r in labelled]
+
+
+def test_table_brackets_do_not_depend_on_call_order():
+    rng = random.Random(87)
+    for n, ordering in ((7, TREFOIL_7GON), (8, FIGURE_EIGHT_8GON),
+                        (8, OCTAGRAM)):
+        d = _diagram(n, ordering)
+        c = d.n_crossings
+        assignments = [CrossingAssignment.from_bits(c, bits)
+                       for bits in rng.sample(range(1 << c), min(1 << c, 24))]
+        forward = [BracketTable(d).bracket(a) for a in assignments]
+        table = BracketTable(d)
+        assert [table.bracket(a) for a in assignments] == forward
+        table = BracketTable(d)
+        assert [table.bracket(a) for a in reversed(assignments)] \
+            == forward[::-1]
+        first, second = BracketTable(d), BracketTable(d)
+        interleaved = [(first if i % 2 else second).bracket(a)
+                       for i, a in enumerate(assignments)]
+        assert interleaved == forward
+        assert [second.bracket(a) for a in assignments] == forward
 
 
 # ---------------------------------------------------------------------------
