@@ -55,13 +55,15 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _failure_diff(expected: dict, got: dict) -> list[str]:
-    lines = []
+def _judged(expected: dict, got: dict) -> dict:
+    """The got fields of a verify report, with its verdict and the diff
+    lines of every expected field that differs."""
+    diff = []
     for key in sorted(expected):
         if expected[key] != got.get(key):
-            lines.append(f"- expected {key}: {expected[key]}")
-            lines.append(f"+ got      {key}: {got.get(key)}")
-    return lines
+            diff.append(f"- expected {key}: {expected[key]}")
+            diff.append(f"+ got      {key}: {got.get(key)}")
+    return {**got, "passed": expected == got, "diff": diff}
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +78,7 @@ def _verify_6gon(eps: float) -> dict:
         "target": "6gon",
         "orderings": rep.orderings,
         "class_counts": dict(sorted(rep.class_counts.items())),
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
 
 
@@ -118,9 +118,7 @@ def _verify_triple(eps: float) -> dict:
         "target": "triple",
         "schemes": rep["schemes"],
         "cases": rep["cases"],
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
 
 
@@ -140,9 +138,7 @@ def _verify_7gon_trefoil(eps: float) -> dict:
     report = {
         "target": "7gon-trefoil",
         "ordering": list(ordering.perm),
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
     if cert is None and a is not None:
         # The strict height system of the exact regular 7-gon selection is
@@ -165,9 +161,7 @@ def _verify_8gon_41(eps: float) -> dict:
         "ordering": list(d.ordering.perm),
         "assignment": a.bits,
         "certificate": cert.to_json(a),
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
 
 
@@ -184,14 +178,14 @@ def _verify_pentagram(eps: float) -> dict:
         "split_vertices": sorted(splits),
         "assignment": a.bits,
         "certificate": cert.to_json(a),
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
 
 
 def _verify_census(eps: float, out_catalog: Optional[str]) -> dict:
-    cat = cons.search_ngon(8, eps=eps, catalog_path=out_catalog)
+    cat = cons.search_ngon(8, eps=eps)
+    if out_catalog is not None:
+        cat.write_jsonl(out_catalog)
     kinds = cat.kind_set()
     expected = {"has_figure_eight": True, "has_trefoil": True,
                 "has_cinquefoil": False}
@@ -202,9 +196,7 @@ def _verify_census(eps: float, out_catalog: Optional[str]) -> dict:
         "target": "8gon-census",
         "orderings": len(cat.records),
         "kinds": sorted(kinds),
-        **got,
-        "passed": expected == got,
-        "diff": _failure_diff(expected, got),
+        **_judged(expected, got),
     }
     if got["has_cinquefoil"]:
         report["cinquefoil_records"] = [
@@ -250,6 +242,16 @@ def _load_diagram(args: argparse.Namespace) -> Diagram:
     return diagram_from_ordering(regular_ngon(args.n), Ordering(perm), args.eps)
 
 
+def _parse_assignment(d: Diagram, text: str) -> CrossingAssignment:
+    """An ``--assignment`` value: integer bits, or ``alternating``."""
+    if text != "alternating":
+        return CrossingAssignment.from_bits(d.n_crossings, int(text))
+    a = alternating_assignment(d)
+    if a is None:
+        raise InvalidParameterError("diagram has no alternating assignment")
+    return a
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     d = _load_diagram(args)
     if d.is_degenerate:
@@ -262,12 +264,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _emit(report, args.format, args.out)
         return 1
     c = d.n_crossings
-    if args.assignment == "alternating":
-        a = alternating_assignment(d)
-        if a is None:
-            raise InvalidParameterError("diagram has no alternating assignment")
-    else:
-        a = CrossingAssignment.from_bits(c, int(args.assignment))
+    a = _parse_assignment(d, args.assignment)
     k = classify(d, a)
     report = {
         "command": "classify",
@@ -297,16 +294,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     d = _load_diagram(args)
-    a = None
-    if args.assignment is not None:
-        if args.assignment == "alternating":
-            a = alternating_assignment(d)
-            if a is None:
-                raise InvalidParameterError(
-                    "diagram has no alternating assignment")
-        else:
-            a = CrossingAssignment.from_bits(d.n_crossings,
-                                             int(args.assignment))
+    a = (None if args.assignment is None
+         else _parse_assignment(d, args.assignment))
     labels = None
     if args.labels:
         labels = {}

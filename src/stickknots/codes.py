@@ -30,8 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import (EPS_DEFAULT, DegenerateContact, Diagram,
-                       InvalidParameterError, segment_intersection)
+from .geometry import (EPS_DEFAULT, Degeneracy, Diagram, InvalidParameterError,
+                       Walk, detect_crossings)
 
 __all__ = [
     "CrossingAssignment",
@@ -451,16 +451,13 @@ def tricolorable(g: GaussCode) -> bool:
 class KnotClass:
     """A small knot type with its reference invariants.
 
-    ``crossing_number``, ``stick_number`` and ``bridge_index`` are the
-    standard table values; they are None for unrecognized types, which carry
-    their Jones polynomial instead.
+    ``stick_number`` is the standard table value; it is None for
+    unrecognized types, which carry their Jones polynomial instead.
     """
 
     kind: str  # unknot | trefoil | figure_eight | cinquefoil | three_twist | other
     chirality: Optional[str] = None  # left | right | None
-    crossing_number: Optional[int] = None
     stick_number: Optional[int] = None
-    bridge_index: Optional[int] = None
     jones_poly: Optional[LaurentPoly] = None
 
     @property
@@ -470,12 +467,12 @@ class KnotClass:
         return self.kind
 
 
-_TABLE = {
-    "unknot": (0, 3, 1),
-    "trefoil": (3, 6, 2),
-    "figure_eight": (4, 7, 2),
-    "cinquefoil": (5, 8, 2),
-    "three_twist": (5, 8, 2),
+_STICK_NUMBER = {
+    "unknot": 3,
+    "trefoil": 6,
+    "figure_eight": 7,
+    "cinquefoil": 8,
+    "three_twist": 8,
 }
 
 
@@ -483,9 +480,8 @@ def make_knot_class(kind: str, chirality: Optional[str] = None,
                     jones_poly: Optional[LaurentPoly] = None) -> KnotClass:
     if kind == "other":
         return KnotClass(kind="other", jones_poly=jones_poly)
-    c, s, br = _TABLE[kind]
-    return KnotClass(kind=kind, chirality=chirality, crossing_number=c,
-                     stick_number=s, bridge_index=br)
+    return KnotClass(kind=kind, chirality=chirality,
+                     stick_number=_STICK_NUMBER[kind])
 
 
 UNKNOT = make_knot_class("unknot")
@@ -551,6 +547,16 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 # Stick counting
 
 
+def _touches_chord(g: Degeneracy) -> bool:
+    """Whether a contact involves vertex 0 or 1, or edge 0, of its walk
+    (a walk with no retrace pairs)."""
+    if g.kind == "vertex_on_edge":
+        return g.involved[0] < 2 or g.involved[1] == 0
+    if g.kind == "vertex_coincidence":
+        return g.involved[0] < 2  # involved vertices are sorted
+    return g.involved[0] == 0  # collinear_overlap: sorted edges
+
+
 def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
     """Effective stick count after merging runs of crossing-free edges.
 
@@ -560,6 +566,11 @@ def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
     stick fewer); merging repeats until blocked.  A closed polygon never
     drops below 3 edges.  Edges carrying a crossing at their far vertex
     (parameter 1.0) block both edges at that corner.
+
+    A chord is tested by ``detect_crossings`` on the walk with the middle
+    vertex cut out, rotated so that the chord is edge 0: the chord is clear
+    when that walk collapses no retrace, no crossing involves edge 0, and no
+    contact involves edge 0 or its endpoints.
     """
     m = d.walk.n_edges
     blocked = set()
@@ -573,26 +584,13 @@ def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
 
     def chord_is_clear(i: int) -> bool:
         mm = len(verts)
-        p = verts[i]
-        q = verts[(i + 2) % mm]
-        if (q - p).norm() <= eps:
+        cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
+        if (cut[1] - cut[0]).norm() <= eps:
             return False
-        for j in range(mm):
-            if j in (i % mm, (i + 1) % mm):
-                continue
-            a = verts[j]
-            b = verts[(j + 1) % mm]
-            res = segment_intersection(p, q, a, b, eps)
-            if res is None:
-                continue
-            if isinstance(res, DegenerateContact) and res.point is not None:
-                # Contact exactly at a shared endpoint of a neighboring edge
-                # is the polygon closing up, not a new intersection.
-                if min((res.point - p).norm(), (res.point - q).norm()) <= eps \
-                        and j in ((i - 1) % mm, (i + 2) % mm):
-                    continue
-            return False
-        return True
+        cd = detect_crossings(Walk(tuple(cut) + (cut[0],)), eps)
+        return (cd.walk.n_edges == mm - 1
+                and all(c.edge_a for c in cd.crossings)
+                and not any(map(_touches_chord, cd.degeneracies)))
 
     changed = True
     while changed and len(verts) > 3:

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -241,11 +241,10 @@ def verify_selection(n_range: Iterable[int],
         proj_class = "degenerate"
         feasible_trefoil = False
         if alt is not None:
-            proj_class = classify(d, alt).label
-            for a, _cert in feasible_assignments(d):
-                if classify(d, a).kind == "trefoil":
-                    feasible_trefoil = True
-                    break
+            table = BracketTable(d)
+            proj_class = table.classify(alt).label
+            feasible_trefoil = any(table.classify(a).kind == "trefoil"
+                                   for a, _cert in feasible_assignments(d))
         checks = {
             "subwalk_crossings": pairs == ((0, 2), (0, 3), (1, 3))
                                  and d.n_crossings == 3,
@@ -551,8 +550,7 @@ def canonical_ordering_classes(n: int, use_symmetry: bool = True
 
 
 def search_ngon(n: int, symmetry_reduce: bool = True,
-                eps: float = EPS_DEFAULT,
-                catalog_path: Optional[str] = None) -> SearchCatalog:
+                eps: float = EPS_DEFAULT) -> SearchCatalog:
     """Census of all reorderings of the regular n-gon.
 
     For each ordering (up to symmetry when enabled) the census records the
@@ -560,6 +558,12 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
     multiset of knot classes those assignments form.  Diagrams with
     unresolved degeneracies are recorded with the degenerate flag and
     skipped for classification.
+
+    n is capped at 10.  The cap is not algorithmic: the 9- and 10-gon
+    censuses run in minutes.  It stays because the 11-gon census (3,628,800
+    first-fixed orderings) is worth its cost only once the degenerate
+    classes, which the census records but does not classify (11.7% of the
+    10-gon orderings), are classified too.
     """
     if n > 10:
         raise InvalidParameterError("census capped at n = 10")
@@ -580,8 +584,5 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
             n=n, ordering=ordering.perm, crossings=d.n_crossings,
             feasible=len(feas), classes=tuple(labels), degenerate=False,
             merged_sticks=merge_crossingless_runs(d, eps), orbit=orbit))
-    catalog = SearchCatalog(n=n, symmetry_reduce=symmetry_reduce, eps=eps,
-                            records=tuple(records))
-    if catalog_path is not None:
-        catalog.write_jsonl(catalog_path)
-    return catalog
+    return SearchCatalog(n=n, symmetry_reduce=symmetry_reduce, eps=eps,
+                         records=tuple(records))

@@ -157,6 +157,74 @@ def exact_vertex_contacts(vertices: list[tuple[int, int]]):
 
 
 # ---------------------------------------------------------------------------
+# Exact stick merging over rationals (for clean integer-coordinate walks)
+
+
+def _exact_meet(p0, p1, q0, q1, neighbours: bool) -> bool:
+    """Whether closed segments p0-p1 and q0-q1 meet.
+
+    Neighbours share an endpoint, which does not count: they meet only when
+    they overlap collinearly in a segment of positive length.
+    """
+    r = (p1[0] - p0[0], p1[1] - p0[1])
+    s_ = (q1[0] - q0[0], q1[1] - q0[1])
+    w = (q0[0] - p0[0], q0[1] - p0[1])
+    den = r[0] * s_[1] - r[1] * s_[0]
+    if den != 0:
+        if neighbours:
+            return False  # the lines meet once, at the shared endpoint
+        t = Fraction(w[0] * s_[1] - w[1] * s_[0], den)
+        s = Fraction(w[0] * r[1] - w[1] * r[0], den)
+        return 0 <= t <= 1 and 0 <= s <= 1
+    if w[0] * r[1] - w[1] * r[0] != 0:
+        return False  # parallel lines
+    rr = r[0] * r[0] + r[1] * r[1]
+    b0 = Fraction(w[0] * r[0] + w[1] * r[1], rr)
+    b1 = b0 + Fraction(s_[0] * r[0] + s_[1] * r[1], rr)
+    lo, hi = max(min(b0, b1), 0), min(max(b0, b1), 1)
+    return hi > lo if neighbours else hi >= lo
+
+
+def exact_merged_sticks(vertices: list[tuple[int, int]]) -> int:
+    """Stick count of a clean integer walk after merging crossing-free runs.
+
+    The same greedy rule as ``merge_crossingless_runs``, decided exactly:
+    edges that carry a transversal stay; otherwise the first pair of
+    consecutive edges whose chord meets no other edge, except its two
+    neighbours at their shared endpoints, merges, and the scan restarts.
+    The walk must be clean (``exact_walk_events`` finds no degeneracy), so
+    every crossing is interior to both of its edges.
+    """
+    transversals, degenerate = exact_walk_events(vertices)
+    assert not degenerate, vertices
+    blocked = {e for i, j, _, _ in transversals for e in (i, j)}
+    poly = list(vertices)
+    flags = [e in blocked for e in range(len(poly))]
+
+    def chord_is_clear(i: int) -> bool:
+        m = len(poly)
+        p, q = poly[i], poly[(i + 2) % m]
+        if p == q:
+            return False
+        return not any(
+            _exact_meet(p, q, poly[j], poly[(j + 1) % m],
+                        j in ((i - 1) % m, (i + 2) % m))
+            for j in range(m) if j not in (i, (i + 1) % m))
+
+    merged = True
+    while merged and len(poly) > 3:
+        merged = False
+        m = len(poly)
+        for i in range(m):
+            if not flags[i] and not flags[(i + 1) % m] and chord_is_clear(i):
+                del poly[(i + 1) % m]
+                del flags[(i + 1) % m]
+                merged = True
+                break
+    return len(poly)
+
+
+# ---------------------------------------------------------------------------
 # Exact 2^c state-sum bracket, independent of stickknots.codes
 #
 # Ports of a PD tuple run counterclockwise from the incoming under-strand.

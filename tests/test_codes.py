@@ -6,6 +6,7 @@ import pytest
 
 from stickknots import codes
 from stickknots.geometry import (
+    Diagram,
     Ordering,
     diagram_from_ordering,
     regular_ngon,
@@ -37,7 +38,13 @@ from stickknots.codes import (
     tricolorable,
 )
 
-from conftest import state_sum_bracket, walk_from_integer_vertices
+from conftest import (
+    exact_merged_sticks,
+    exact_walk_events,
+    random_integer_walk,
+    state_sum_bracket,
+    walk_from_integer_vertices,
+)
 from stickknots.geometry import detect_crossings
 
 TREFOIL_7GON = Ordering((0, 1, 3, 5, 6, 2, 4))
@@ -419,6 +426,52 @@ def test_merge_crossingless_runs_examples():
     assert merge_crossingless_runs(_diagram(8, Ordering(tuple(range(8))))) == 3
     assert merge_crossingless_runs(_diagram(7, TREFOIL_7GON)) == 7
     assert merge_crossingless_runs(_diagram(5, PENTAGRAM)) == 5
+
+
+#: Walks in which the chord of every pair of consecutive crossing-free
+#: edges is blocked, one of them by the named contact, so no stick merges.
+BLOCKED_CHORDS = {
+    # the chord (-2, 2)-(1, 0) crosses the edges from (0, 0) and to (0, 0)
+    "transversal": [(0, 0), (1, 1), (-2, 2), (0, -1), (1, 0), (0, 2)],
+    # the chord (0, 0)-(2, 2) passes through the vertex (1, 1)
+    "vertex_on_chord": [(0, 0), (0, 2), (2, 2), (0, -1), (1, 1), (1, 0)],
+    # the chord (0, 2)-(-1, 1) runs back along the edge (-2, 0)-(0, 2)
+    "fold_back": [(0, 0), (-1, 1), (0, -1), (0, 0), (-2, 1), (-2, 0),
+                  (0, 2)],
+    # the chord (-1, 0)-(0, 0) retraces the edge (0, 0)-(-1, 0)
+    "retrace": [(0, 0), (-1, 0), (-1, -2), (0, 0), (0, 1), (-1, -1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CHORDS))
+def test_blocked_chord_keeps_every_stick(name):
+    verts = BLOCKED_CHORDS[name]
+    d = detect_crossings(walk_from_integer_vertices(verts))
+    assert not d.is_degenerate
+    assert merge_crossingless_runs(d) == len(verts)
+    if not exact_walk_events(verts)[1]:
+        assert exact_merged_sticks(verts) == len(verts)
+
+
+def test_zero_length_chord_is_blocked():
+    # back and forth twice, kept uncollapsed: every chord has length zero
+    walk = walk_from_integer_vertices([(0, 0), (1, 0), (0, 0), (1, 0)])
+    assert merge_crossingless_runs(Diagram(walk=walk, crossings=())) == 4
+
+
+def test_merged_sticks_match_exact_oracle_on_random_walks():
+    checked = 0
+    for span in (1, 2, 3, 7):
+        rng = random.Random(span)
+        for _ in range(500):
+            verts = random_integer_walk(rng, rng.randint(4, 10), span)
+            if exact_walk_events(verts)[1]:
+                continue
+            checked += 1
+            d = detect_crossings(walk_from_integer_vertices(verts))
+            assert merge_crossingless_runs(d) == exact_merged_sticks(verts), \
+                (span, verts)
+    assert checked >= 1000
 
 
 def test_merged_sticks_never_beat_stick_number():

@@ -83,6 +83,20 @@ def test_selection_sweep_short_range():
         assert not r.feasible_trefoil
 
 
+def test_selection_builds_one_bracket_table_per_diagram(monkeypatch):
+    built = []
+
+    class CountingTable(constructions.BracketTable):
+        def __init__(self, d):
+            built.append(d.ordering)
+            super().__init__(d)
+
+    monkeypatch.setattr(constructions, "BracketTable", CountingTable)
+    rep = verify_selection(range(7, 13))
+    assert rep.passed
+    assert built == [trefoil_selection(n) for n in range(7, 13)]
+
+
 def test_selection_json_report_shape():
     rep = verify_selection(range(7, 9))
     obj = rep.to_json()
@@ -220,7 +234,8 @@ def test_symmetry_reduction_preserves_class_outcomes():
 
 def test_census_catalog_round_trip(tmp_path):
     path = str(tmp_path / "catalog.jsonl")
-    cat = search_ngon(6, catalog_path=path)
+    cat = search_ngon(6)
+    cat.write_jsonl(path)
     back = SearchCatalog.read_jsonl(path)
     assert back == cat
 
