@@ -21,6 +21,7 @@ from typing import Optional
 
 from .geometry import (
     EPS_DEFAULT,
+    DegenerateDiagramError,
     Diagram,
     InvalidParameterError,
     Ordering,
@@ -380,7 +381,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InvalidParameterError, ValueError, OSError) as exc:
+    except (InvalidParameterError, ValueError, OSError,
+            DegenerateDiagramError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

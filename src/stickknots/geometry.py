@@ -3,10 +3,11 @@
 A collection of planar vectors summing to zero can be placed tip-to-tail in
 any order to form a closed polygonal walk.  This module builds those walks
 and finds their crossings: it collapses retraced edge pairs, then one scan
-of all non-adjacent edge pairs finds transversals, collinear overlaps and
-the vertex contacts (coincident vertices, vertices on other edges) that
-symmetric vector sets produce in abundance, then resolves each contact by
-the angular interleaving of the strands through it.
+of the non-adjacent edge pairs whose padded bounding boxes meet finds
+transversals, collinear overlaps and the vertex contacts (coincident
+vertices, vertices on other edges) that symmetric vector sets produce in
+abundance, then resolves each contact by the angular interleaving of the
+strands through it.
 
 All computations use double precision with an explicit tolerance ``eps``
 (default 1e-9).  Regular polygon coordinates are irrational, so exact
@@ -17,6 +18,7 @@ instead classified and either resolved or flagged.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
@@ -637,28 +639,48 @@ def _contacts_at(walk: Walk, i: int, j: int, point: Vec2,
 def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     """Find all crossings of a closed walk, resolving degenerate contacts.
 
-    Pipeline: collapse retraced edge pairs; one scan of all non-adjacent
-    edge pairs then finds transversal intersections, collinear overlaps and
-    vertex contacts (coincident vertices and vertices on other edges);
-    finally each vertex contact is resolved by angular interleaving.  A
-    vertex in more than one contact (a triple point) leaves all of its
-    contacts unresolved.  Transversals and resolved contacts alike are two
-    strands through one point, built into a :class:`Crossing` by one rule.
-    Crossings are sorted by (edge_a, t_a).  Collinear overlaps and
-    unresolvable contacts flag the diagram.
+    Pipeline: collapse retraced edge pairs; one scan of the non-adjacent
+    edge pairs whose padded bounding boxes meet then finds transversal
+    intersections, collinear overlaps and vertex contacts (coincident
+    vertices and vertices on other edges); finally each vertex contact is
+    resolved by angular interleaving.  A vertex in more than one contact
+    (a triple point) leaves all of its contacts unresolved.  Transversals
+    and resolved contacts alike are two strands through one point, built
+    into a :class:`Crossing` by one rule.  Crossings are sorted by
+    (edge_a, t_a).  Collinear overlaps and unresolvable contacts flag the
+    diagram.
     """
     collapsed, degs = _collapse_retraces(walk, eps)
     m = collapsed.n_edges
     if m < 3:
         return Diagram(walk=collapsed, crossings=(), degeneracies=tuple(degs))
 
+    # Broad phase: skip a pair whose padded boxes are apart.  An accepted
+    # pair has, in exact arithmetic, points of its two edges within 2*eps.
+    # Rounding adds up to ~40*u*S (u the unit roundoff, S the largest
+    # |coordinate|), which the transversal branch divides by the lines' sine,
+    # over eps/2 when eps > 16*u.  So the pad covers 2*eps + 160*u*S/eps, and
+    # it spans the walk when eps <= 16*u.  Edges shorter than eps, and all
+    # edges once the cross products overflow, get unbounded boxes: they raise.
+    verts = collapsed.vertices
+    scale = max(max(abs(v.x), abs(v.y)) for v in verts)
+    pad = (eps + 64.0 * sys.float_info.epsilon * scale * (1.0 + 1.0 / eps)
+           if math.isfinite(8.0 * scale * scale) else math.inf)
+    boxes = [(min(p.x, q.x) - pad, max(p.x, q.x) + pad,
+              min(p.y, q.y) - pad, max(p.y, q.y) + pad)
+             if math.hypot(q.x - p.x, q.y - p.y) > eps
+             else (-math.inf, math.inf, -math.inf, math.inf)
+             for p, q in zip(verts, verts[1:])]
+
     transversals: list[Crossing] = []
     overlaps: list[Degeneracy] = []
     contacts: set[tuple[str, tuple[int, int]]] = set()
     for i in range(m):
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue  # cyclically adjacent: shared vertex is never a crossing
+        x0, x1, y0, y1 = boxes[i]
+        for j in range(i + 2, m - (i == 0)):  # edges 0, m - 1 are adjacent
+            a0, a1, b0, b1 = boxes[j]
+            if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
+                continue
             p0, p1 = collapsed.edge(i)
             q0, q1 = collapsed.edge(j)
             res = segment_intersection(p0, p1, q0, q1, eps)

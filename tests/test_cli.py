@@ -98,6 +98,16 @@ def test_classify_degenerate_input_reports_degeneracies(tmp_path, capsys):
     assert rep["degeneracies"]
 
 
+def test_render_alternating_on_a_degenerate_diagram_exits_2(capsys):
+    # this 7-gon ordering leaves a contact unresolved: it has no alternating
+    # assignment to draw, but integer bits still draw it
+    argv = ["render", "--n", "7", "--ordering", "0,1,4,6,2,5,3"]
+    assert main(argv + ["--assignment", "alternating"]) == 2
+    assert capsys.readouterr().err == (
+        "error: diagram has unresolved degeneracies; refusing to code it\n")
+    assert main(argv + ["--assignment", "0"]) == 0
+
+
 def test_render_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stickknots import geometry
 from stickknots.geometry import (
     EPS_DEFAULT,
     DegenerateContact,
@@ -272,6 +273,162 @@ def test_crossing_list_is_sorted_and_deduplicated():
     keys = [(c.edge_a, c.t_a, c.edge_b, c.t_b) for c in d.crossings]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == 16
+
+
+# ---------------------------------------------------------------------------
+# The scan's bounding-box reject
+
+
+def _near_parallel_walks(rng: random.Random, eps: float, count: int):
+    """Quadrilaterals p0 p1 q0 q1 whose edges 0 and 2 meet at a sine just
+    above eps, placed far from the origin, along one line or offset across
+    it by up to 3*eps: near-parallel pairs for segment_intersection."""
+    for _ in range(count):
+        ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        b = a + rng.choice((1, -1)) * eps * rng.uniform(1.0, 1.5)
+        len1, len2 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        along = rng.uniform(-1.0, 3.0)
+        across = rng.choice((0.0, eps)) * rng.uniform(-3.0, 3.0)
+        p0 = Vec2(ox, oy)
+        p1 = Vec2(ox + len1 * math.cos(a), oy + len1 * math.sin(a))
+        q0 = Vec2(ox + along * math.cos(a) - across * math.sin(a),
+                  oy + along * math.sin(a) + across * math.cos(a))
+        q1 = Vec2(q0.x + len2 * math.cos(b), q0.y + len2 * math.sin(b))
+        yield Walk((p0, p1, q0, q1, p0))
+
+
+def _corner_gap_walks(rng: random.Random, eps: float, count: int):
+    """Quadrilaterals p0 p1 q0 q1 whose edges 0 and 2 stop 0.8*eps short of
+    the point where their lines meet: accepted pairs with boxes apart by up
+    to 1.6*eps."""
+    for _ in range(count):
+        x, y = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        b = a + rng.uniform(0.5, math.pi - 0.5)
+        ends = []
+        for ang in (a, b):
+            far = rng.uniform(0.5, 3.0)
+            ends += [Vec2(x - far * math.cos(ang), y - far * math.sin(ang)),
+                     Vec2(x - 0.8 * eps * math.cos(ang),
+                          y - 0.8 * eps * math.sin(ang))]
+        yield Walk(tuple(ends) + (ends[0],))
+
+
+def _accepted_pairs_are_scanned(monkeypatch, walk: Walk, eps: float) -> int:
+    """Run detect_crossings with a spy on segment_intersection, and check
+    that every non-adjacent pair of the collapsed walk that
+    segment_intersection accepts was passed to it.  Returns how many
+    pairs it accepts."""
+    scanned = set()
+
+    def spy(p0, p1, q0, q1, eps_):
+        scanned.add((p0, p1, q0, q1))
+        return segment_intersection(p0, p1, q0, q1, eps_)
+
+    monkeypatch.setattr(geometry, "segment_intersection", spy)
+    collapsed = detect_crossings(walk, eps).walk
+    monkeypatch.undo()
+    m = collapsed.n_edges
+    accepted = 0
+    for i in range(m):
+        for j in range(i + 2, m - (i == 0)):
+            args = collapsed.edge(i) + collapsed.edge(j)
+            if segment_intersection(*args, eps) is not None:
+                accepted += 1
+                assert args in scanned, (walk, eps, i, j)
+    return accepted
+
+
+@pytest.fixture(scope="module")
+def small_class_walks():
+    from stickknots.constructions import canonical_ordering_classes
+    return [build_walk(regular_ngon(n), o)
+            for n in range(5, 10)
+            for o, _ in canonical_ordering_classes(n)]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-14])
+def test_box_reject_keeps_every_pair_segment_intersection_accepts(
+        monkeypatch, small_class_walks, eps):
+    from stickknots.constructions import trefoil_selection
+    rng = random.Random(20261018)
+    walks = [build_walk(regular_ngon(n), trefoil_selection(n), eps)
+             for n in range(7, 101)]
+    walks += small_class_walks
+    walks += [walk_from_integer_vertices(random_integer_walk(
+        rng, rng.randint(4, 12), rng.choice((1, 2, 3, 7))))
+        for _ in range(300)]
+    accepted = sum(_accepted_pairs_are_scanned(monkeypatch, w, eps)
+                   for w in walks)
+    assert accepted > 5000
+    corner_accepted = 0
+    for w in _corner_gap_walks(rng, eps, 300):
+        _accepted_pairs_are_scanned(monkeypatch, w, eps)
+        corner_accepted += segment_intersection(*w.edge(0), *w.edge(2),
+                                                eps) is not None
+    assert corner_accepted == 300
+    # many built pairs are accepted on the transversal branch, where
+    # |den| > eps*len1*len2 only just
+    near_transversal = 0
+    for w in _near_parallel_walks(rng, eps, 600):
+        _accepted_pairs_are_scanned(monkeypatch, w, eps)
+        (p0, p1), (q0, q1) = w.edge(0), w.edge(2)
+        d1, d2 = p1 - p0, q1 - q0
+        near_transversal += (
+            abs(d1.cross(d2)) > eps * d1.norm() * d2.norm()
+            and segment_intersection(p0, p1, q0, q1, eps) is not None)
+    assert near_transversal > 50
+
+
+def test_box_reject_keeps_pairs_accepted_by_rounding(monkeypatch):
+    # below the unit roundoff, rounding alone lets segment_intersection
+    # accept edges of one line that lie 1.1 and 1.8 apart; there the pad
+    # spans the whole walk
+    eps = 1e-16
+    for ends in (
+            [(0.43441819726749636, 0.5907407056838092),
+             (1.546558875375409, 2.1030778341411462),
+             (2.4124694342031416, 3.2805805672183674),
+             (3.229901150540286, 4.392159667713526)],
+            [(0.6546999291368311, 0.6270621152421273),
+             (-1.2655945658218912, -1.2121681554624921),
+             (-3.1068244145572788, -2.9756714524876733),
+             (-3.6662245669943756, -3.511456821086151)]):
+        p0, p1, q0, q1 = (Vec2(x, y) for x, y in ends)
+        assert segment_intersection(p0, p1, q0, q1, eps) is not None
+        assert _accepted_pairs_are_scanned(
+            monkeypatch, Walk((p0, p1, q0, q1, p0)), eps) >= 1
+
+
+@pytest.mark.parametrize("verts, scale, message", [
+    # edge 1 has length 0, and every other edge's box is far from it
+    ([(0, 0), (2, 0), (2, 0), (2, 2), (0, 2), (-5, 7), (-9, 9)], 1.0,
+     "shorter than tolerance"),
+    # the cross products of far-apart edges overflow to nan
+    ([(0, 0), (3, 0), (3, 2), (6, 3), (6, 1)], 1e200, "non-finite"),
+], ids=["zero_length_edge", "overflowing_cross_products"])
+def test_scan_still_raises_where_segment_intersection_does(verts, scale,
+                                                           message):
+    pts = tuple(Vec2(x * scale, y * scale) for x, y in verts)
+    with pytest.raises(InvalidParameterError, match=message):
+        detect_crossings(Walk(pts + (pts[0],)))
+
+
+def test_scan_tests_few_pairs_of_the_selection_walk(monkeypatch):
+    from stickknots.constructions import trefoil_selection
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return segment_intersection(*args)
+
+    monkeypatch.setattr(geometry, "segment_intersection", counting)
+    walk = build_walk(regular_ngon(100), trefoil_selection(100))
+    assert detect_crossings(walk).n_crossings == 3
+    # 4,850 non-adjacent pairs, nearly all with their boxes apart
+    assert calls <= 100
 
 
 # ---------------------------------------------------------------------------
