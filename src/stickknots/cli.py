@@ -37,6 +37,11 @@ from .render import render_svg
 
 __all__ = ["main"]
 
+#: Smallest --eps accepted.  Below about three unit roundoffs the rounding
+#: noise of ``segment_intersection``'s denominator passes its parallel test,
+#: and collinear edges more than a unit apart come out as meeting.
+EPS_MIN = 1e-15
+
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
@@ -325,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stick-knot diagrams from reordered planar vector sets.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eps", type=float, default=EPS_DEFAULT,
-                        help="geometric tolerance (default 1e-9)")
+                        help=f"geometric tolerance, at least {EPS_MIN:g} "
+                             "(default 1e-9)")
     common.add_argument("--out", type=str, default=None,
                         help="write the report/SVG here instead of stdout")
     report = argparse.ArgumentParser(add_help=False)
@@ -376,8 +382,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not (math.isfinite(args.eps) and args.eps > 0.0):
-        sys.stderr.write("error: --eps must be positive and finite\n")
+    if not (math.isfinite(args.eps) and args.eps >= EPS_MIN):
+        sys.stderr.write(f"error: --eps must be finite and at least {EPS_MIN:g}\n")
         return 2
     try:
         return args.func(args)

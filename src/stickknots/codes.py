@@ -11,8 +11,17 @@ and records, for each pairing of its open arc ends, where each smoothing
 sends it, so its cost follows the tangle's boundary rather than 2^c
 (Bar-Natan, "Fast Khovanov homology computations", JKTR 2007); none of
 this depends on the over/under choices.  ``_evaluate`` pushes one
-assignment's smoothing counts through that plan, and the writhe
-normalization gives the Jones polynomial.  ``BracketTable`` keeps one
+assignment through that plan with each state's partial bracket packed
+into one integer: its polynomial in Y = A^2 evaluated at Y = 2^w, with
+w = 3c + 2 bits per power for c crossings, and offset by Y^(2c) so that
+each closed loop's factor d = -(1 + Y^2) / Y is an exact multiply and
+right shift.  The last step closes at least one loop in every state, so
+its loop count is lowered by one, which gives the bracket's
+d^(loops - 1).  The bound: the coefficients' absolute sum is at most
+2^c * 2^(loops - 1) < 2^(3c) < 2^(w - 1), so each balanced digit is one
+coefficient, and no state closes more than 2c loops, so the offset keeps
+every division by Y exact.  The writhe normalization of the decoded
+bracket gives the Jones polynomial.  ``BracketTable`` keeps one
 projection's PD code and its plan, built on first use, and brackets each
 crossing assignment as a flip of it.  The knot is classified among the
 small types (unknot, 3_1, 4_1, 5_1, 5_2) that the stick constructions can
@@ -152,13 +161,19 @@ def _check_assignment(d: Diagram, a: CrossingAssignment) -> None:
             f"assignment covers {len(a)} crossings, diagram has {d.n_crossings}")
 
 
-def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
-    """Writhe sign of each crossing under the assignment's over/under roles."""
-    d.require_clean()
-    _check_assignment(d, a)
+def _crossing_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
+    """Writhe sign of each crossing under the assignment's over/under roles,
+    for a clean diagram and an assignment of its length."""
     # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over).
     return [-c.sign if over else c.sign
             for c, over in zip(d.crossings, a.over_a)]
+
+
+def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
+    """``_crossing_signs`` after checking the diagram and the assignment."""
+    d.require_clean()
+    _check_assignment(d, a)
+    return _crossing_signs(d, a)
 
 
 def extract_gauss_code(d: Diagram, a: CrossingAssignment) -> GaussCode:
@@ -293,9 +308,6 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-#: Value of a disjoint unknotted loop in the bracket state sum.
-LOOP_FACTOR = LaurentPoly({2: -1, -2: -1})
-
 #: Smoothing pairings in port positions 0..3 (counterclockwise from the
 #: incoming under-strand).  The A-smoothing joins the incoming under-strand
 #: to the outgoing over-strand; calibrated so that a geometric kink of
@@ -305,16 +317,18 @@ _PAIR_A = ((1, 2), (3, 0))
 _PAIR_B = ((0, 1), (2, 3))
 
 
-@functools.lru_cache(maxsize=None)
-def _loop_power(k: int) -> LaurentPoly:
-    """LOOP_FACTOR ** k."""
-    return LaurentPoly.one() if k == 0 else _loop_power(k - 1) * LOOP_FACTOR
-
-
 #: One contraction step: the crossing joined, the number of open-end states
-#: after it, and for each state before it the row (A-child, loops the
-#: A-smoothing closes, B-child, loops the B-smoothing closes).
-_Step = tuple[int, int, tuple[tuple[int, int, int, int], ...]]
+#: after it, and one transition table per value of the crossing's flip bit.
+#: A table holds, for each state before the step, the row (A-child,
+#: multiplier, shift, B-child, multiplier, shift): each child gains the
+#: state's packed value times the multiplier, shifted right.
+_Row = tuple[int, int, int, int, int, int]
+_Step = tuple[int, int, tuple[tuple[_Row, ...], tuple[_Row, ...]]]
+
+
+def _digit_width(c: int) -> int:
+    """Bits per power of Y in the packed bracket of a c-crossing PD code."""
+    return 3 * c + 2
 
 
 def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
@@ -329,12 +343,28 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
     states reachable after each step, and where each smoothing sends each
     state, depend on the PD code alone, so they are worked out here once,
     as state indices, and every assignment reuses them (``_evaluate``).
+
+    A smoothing that closes L loops multiplies the packed value by
+    d^L = (-(1 + Y^2))^L / Y^L, stored as the multiplier (-(1 + Y^2))^L
+    and a right shift by L digits (Y = 2^w, w = 3c + 2).  The smoothing
+    that counts as A under the flip bit also multiplies by Y, one digit
+    less of shift, or the multiplier Y when it closes no loop.  The last
+    step leaves no open end, so each of its smoothings closes at least one
+    loop; its loop counts are lowered by one, which turns the state sum's
+    d^loops into the bracket's d^(loops - 1).
     """
     uses = Counter(arc for tup in pd for arc in tup)
     for arc, times in sorted(uses.items()):
         if times != 2:
             raise InvalidParameterError(
                 f"arc label {arc} appears {times} times (expected 2)")
+    w = _digit_width(len(pd))
+    y_value = 1 << w
+    moves = {}  # (loops, 1 if the smoothing counts as A) -> (multiplier, shift)
+    for loops in range(3):  # each of a smoothing's two joins closes <= 1
+        d_power = (-1 - y_value * y_value) ** loops
+        moves[loops, 0] = (d_power, loops * w)
+        moves[loops, 1] = (d_power, (loops - 1) * w) if loops else (y_value, 0)
     seen: Counter = Counter()
     ends: list[int] = []
     states: list[tuple[int, ...]] = [()]
@@ -348,14 +378,15 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
         tup = pd[k]
         seen.update(tup)
         new_ends = [x for x in ends + list(tup) if seen[x] == 1]
+        closing = 0 if left else 1  # the last step ends the state sum
         index: dict[tuple[int, ...], int] = {}
-        table = []
+        tables: tuple[list[_Row], list[_Row]] = ([], [])
         for partners in states:
-            row: list[int] = []
+            sent = []
             joined = dict(zip(ends, partners))
             for pairing in (_PAIR_A, _PAIR_B):
                 partner = joined.copy()
-                loops = 0
+                loops = -closing
                 for i, j in pairing:
                     x, y = tup[i], tup[j]
                     if x == y or partner.get(x) == y:
@@ -366,9 +397,12 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
                         a, b = partner.pop(x, x), partner.pop(y, y)
                         partner[a], partner[b] = b, a
                 child = tuple(map(partner.__getitem__, new_ends))
-                row += (index.setdefault(child, len(index)), loops)
-            table.append(tuple(row))
-        steps.append((k, len(index), tuple(table)))
+                sent.append((index.setdefault(child, len(index)), loops))
+            (a_child, a_loops), (b_child, b_loops) = sent
+            for bit, table in enumerate(tables):
+                table.append((a_child, *moves[a_loops, 1 - bit],
+                              b_child, *moves[b_loops, bit]))
+        steps.append((k, len(index), (tuple(tables[0]), tuple(tables[1]))))
         states, ends = list(index), new_ends
     return tuple(steps)
 
@@ -377,33 +411,50 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
     """Kauffman bracket of a contraction plan's PD code under ``flip``.
 
     Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
-    what flipping its over/under does.  Each state counts its smoothings by
-    (#A - #B, closed loops), packed into one key (#A - #B) * stride + loops;
-    a step adds +-stride plus the loops closed to every key of a state and
-    merges the result into the child the plan names.
+    what flipping its over/under does.  Each state's partial bracket is one
+    integer: its polynomial in Y = A^2, times A^c, evaluated at Y = 2^w with
+    w = 3c + 2 bits per power.  The value starts at Y^(2c), an offset that
+    keeps every division by Y exact: a state of c crossings closes at most
+    2c loops, since each loop runs along at least one of the 2c arcs.  A
+    step multiplies and shifts each state's value as the plan's row for the
+    flip bit says, and adds it to the child's.  The final value is
+    Y^(2c) * sum over states of Y^(#A) * d^(loops - 1), and its digits
+    decode exactly: their absolute sum is at most 2^c * 2^(loops - 1) <
+    2^(3c) < 2^(w - 1), so each digit read in [-2^(w-1), 2^(w-1)) is the
+    coefficient itself.  Only its nonzero digits are walked.
     """
-    if not plan:
+    c = len(plan)
+    if not c:
         return LaurentPoly.one()  # a crossingless diagram is one loop
-    stride = 2 * len(plan) + 1  # each crossing closes at most two loops
-    counts: list[dict[int, int]] = [{0: 1}]
-    for k, n_states, table in plan:
-        shift = -stride if flip >> k & 1 else stride
-        grown: list[Optional[dict[int, int]]] = [None] * n_states
-        for (a_child, a_loops, b_child, b_loops), state in zip(table, counts):
-            for child, delta in ((a_child, shift + a_loops),
-                                 (b_child, b_loops - shift)):
-                out = grown[child]
-                if out is None:
-                    grown[child] = {key + delta: n for key, n in state.items()}
-                    continue
-                for key, n in state.items():
-                    out[key + delta] = out.get(key + delta, 0) + n
-        counts = grown
+    w = _digit_width(c)
+    values = [1 << 2 * c * w]
+    for k, n_states, tables in plan:
+        grown = [0] * n_states
+        for (a_child, a_mul, a_shift, b_child, b_mul, b_shift), value in zip(
+                tables[flip >> k & 1], values):
+            grown[a_child] += value * a_mul >> a_shift
+            grown[b_child] += value * b_mul >> b_shift
+        values = grown
+    return _decode(values[0], c, w)
+
+
+def _decode(packed: int, c: int, w: int) -> LaurentPoly:
+    """The bracket packed by ``_evaluate``: digit i of w bits, read as a
+    balanced digit, is the coefficient of Y^i = A^(2i) in A^c * Y^(2c) *
+    bracket, so of A^(2i - 5c) in the bracket."""
+    mask, half = (1 << w) - 1, 1 << w - 1
     coeffs: dict[int, int] = {}
-    for key, n in counts[0].items():
-        exp, loops = divmod(key, stride)
-        for e, c in _loop_power(loops - 1).coeffs.items():
-            coeffs[exp + e] = coeffs.get(exp + e, 0) + n * c
+    i = 0
+    while packed:
+        skip = ((packed & -packed).bit_length() - 1) // w  # zero digits
+        packed >>= skip * w
+        i += skip
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << w
+        coeffs[2 * i - 5 * c] = digit
+        packed = (packed - digit) >> w
+        i += 1
     return LaurentPoly(coeffs)
 
 
@@ -669,15 +720,21 @@ class BracketTable:
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
         _check_assignment(self.diagram, a)
-        if self._plan is None:
-            self._plan = _contraction_plan(self._pd)
-        return _evaluate(self._plan, a.bits)
+        return self._bracket(a.bits)
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
         return _normalize(self.bracket(a), self.writhe(a))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
+        # the one check per label: the diagram was checked clean when the
+        # table built its PD code
         _check_assignment(self.diagram, a)
         if self.n_crossings < 3:
             return UNKNOT
-        return classify_jones(self.jones(a))
+        writhe = sum(_crossing_signs(self.diagram, a))
+        return classify_jones(_normalize(self._bracket(a.bits), writhe))
+
+    def _bracket(self, flip: int) -> LaurentPoly:
+        if self._plan is None:
+            self._plan = _contraction_plan(self._pd)
+        return _evaluate(self._plan, flip)

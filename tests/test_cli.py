@@ -157,8 +157,10 @@ def test_report_file_byte_identical(tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["verify", "no-such-target"]) == 2
     assert main(["classify"]) == 2
-    for eps in ("-1", "0", "nan", "inf"):
+    capsys.readouterr()
+    for eps in ("-1", "0", "nan", "inf", "1e-16"):
         assert main(["verify", "6gon", "--eps", eps]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     assert main(["classify", "--n", "7", "--ordering", "0,1,3,5,6,2,4",
                  "--assignment", "0", "--eps", "nan"]) == 2
     assert main(["frobnicate"]) == 2

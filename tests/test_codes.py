@@ -418,6 +418,83 @@ def test_bracket_equals_state_sum_on_7gon_and_small_8gon_classes():
                 d, [CrossingAssignment.from_bits(c, bits) for bits in sample])
 
 
+def _flipped_pd(pd, flip):
+    """The PD code with crossing k's over/under flipped for each bit k of
+    ``flip``: its tuple then starts at the old incoming over-strand."""
+    return tuple(tup[1:] + tup[:1] if flip >> k & 1 else tup
+                 for k, tup in enumerate(pd))
+
+
+@pytest.mark.parametrize("pd", [TREFOIL_PD, FIGURE_EIGHT_PD, CINQUEFOIL_PD,
+                                THREE_TWIST_PD],
+                         ids=["3_1", "4_1", "5_1", "5_2"])
+def test_every_flip_of_a_fixture_equals_the_state_sum(pd):
+    plan = codes._contraction_plan(pd)
+    for flip in range(1 << len(pd)):
+        assert codes._evaluate(plan, flip).coeffs \
+            == state_sum_bracket(_flipped_pd(pd, flip))
+
+
+def _kink_chain_pd(signs):
+    """PD code of an unknot drawn as a chain of Reidemeister-I kinks, kink k
+    of writhe sign ``signs[k]``: its Gauss code visits crossing k over,
+    then under, and arc i + 1 enters visit i (``gauss_to_pd``'s labels)."""
+    n = 2 * len(signs)
+    pd = []
+    for k, sign in enumerate(signs):
+        o_in, u_in, u_out = 2 * k + 1, 2 * k + 2, (2 * k + 2) % n + 1
+        pd.append((u_in, o_in, u_out, u_in) if sign > 0
+                  else (u_in, u_in, u_out, o_in))
+    return tuple(pd)
+
+
+#: The bracket's loop value d = -A^2 - A^-2.
+LOOP = LaurentPoly({2: -1, -2: -1})
+
+
+def test_kink_chain_brackets_to_its_closed_form():
+    # each kink of writhe sign s contributes -A^(3s) to the unknot's bracket
+    rng = random.Random(30)
+    for signs in ([1] * 30, [-1] * 30, [rng.choice((-1, 1)) for _ in range(30)],
+                  [1, -1, -1, 1, 1]):
+        pd = _kink_chain_pd(signs)
+        want = LaurentPoly({3 * sum(signs): (-1) ** len(signs)})
+        assert kauffman_bracket(pd) == want
+        assert pd_writhe(pd) == sum(signs)
+        assert jones(pd, sum(signs)) == LaurentPoly.one()
+        if len(pd) <= 5:
+            assert want.coeffs == state_sum_bracket(pd)
+
+
+def _split_pd(*pds):
+    """One PD code for the disjoint union of the given ones, arcs relabelled
+    so that no two pieces share an arc."""
+    out, offset = [], 0
+    for pd in pds:
+        out += [tuple(arc + offset for arc in tup) for tup in pd]
+        offset += 2 * len(pd)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("pieces", [
+    (TREFOIL_PD, FIGURE_EIGHT_PD),
+    (CINQUEFOIL_PD, TREFOIL_PD, THREE_TWIST_PD),
+    (_kink_chain_pd([-1]),) * 30,
+], ids=["3_1+4_1", "5_1+3_1+5_2", "thirty_kinks"])
+def test_split_pd_brackets_to_the_product(pieces):
+    # <K1 + K2> = d <K1> <K2>.  A state of a split code closes up to c + 1
+    # loops per piece, more than c + 1 in all.  Thirty one-crossing kinks
+    # close up to 2c = 60, the most any c-crossing code can, and their
+    # bracket d^29 (-A^-3)^30 has coefficients up to C(29, 14) ~ 2^26.
+    want = kauffman_bracket(pieces[0])
+    for pd in pieces[1:]:
+        want = LOOP * want * kauffman_bracket(pd)
+    pd = _split_pd(*pieces)
+    assert kauffman_bracket(pd) == want
+    if len(pd) <= 13:
+        assert want.coeffs == state_sum_bracket(pd)
+
+
 # ---------------------------------------------------------------------------
 # Stick counting
 
