@@ -137,10 +137,6 @@ class GaussCode:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> list:
-        return [[e.crossing, "O" if e.over else "U", e.sign]
-                for e in self.entries]
-
 
 PDCode = tuple[tuple[int, int, int, int], ...]
 
@@ -503,13 +499,12 @@ class KnotClass:
     """A small knot type with its reference invariants.
 
     ``stick_number`` is the standard table value; it is None for
-    unrecognized types, which carry their Jones polynomial instead.
+    unrecognized types.
     """
 
     kind: str  # unknot | trefoil | figure_eight | cinquefoil | three_twist | other
     chirality: Optional[str] = None  # left | right | None
     stick_number: Optional[int] = None
-    jones_poly: Optional[LaurentPoly] = None
 
     @property
     def label(self) -> str:
@@ -527,10 +522,9 @@ _STICK_NUMBER = {
 }
 
 
-def make_knot_class(kind: str, chirality: Optional[str] = None,
-                    jones_poly: Optional[LaurentPoly] = None) -> KnotClass:
+def make_knot_class(kind: str, chirality: Optional[str] = None) -> KnotClass:
     if kind == "other":
-        return KnotClass(kind="other", jones_poly=jones_poly)
+        return KnotClass(kind="other")
     return KnotClass(kind=kind, chirality=chirality,
                      stick_number=_STICK_NUMBER[kind])
 
@@ -581,7 +575,7 @@ def classify_jones(j: LaurentPoly) -> KnotClass:
     for kc, ref in _reference_jones():
         if j == ref:
             return kc
-    return make_knot_class("other", jones_poly=j)
+    return make_knot_class("other")
 
 
 def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:

@@ -305,14 +305,6 @@ class SixGonReport:
         return (not self.unresolved
                 and set(self.class_counts) <= {"unknot"})
 
-    def to_json(self) -> dict:
-        return {
-            "orderings": self.orderings,
-            "unresolved": [list(o) for o in self.unresolved],
-            "class_counts": dict(sorted(self.class_counts.items())),
-            "all_unknot": self.all_unknot,
-        }
-
 
 def exhaustive_6gon_check(eps: float = EPS_DEFAULT) -> SixGonReport:
     """Classify every feasible assignment of every 6-gon reordering.

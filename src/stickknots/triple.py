@@ -20,9 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .geometry import InvalidParameterError, Vec2
+from .geometry import InvalidParameterError, Vec2, segment_intersection
 from .codes import (
     GaussCode,
     GaussEntry,
@@ -114,73 +114,50 @@ class FragmentCrossing:
 # crossing chords with this end pattern.
 
 
+#: The three crossings inside the triple-crossing disk, one per strand pair.
+PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
 @lru_cache(maxsize=1)
-def _triple_disk() -> dict:
-    ends = {k: Vec2(math.cos((k - 1) * math.pi / 3),
-                    math.sin((k - 1) * math.pi / 3)) for k in TRIPLE_ENDS}
-    delta = 0.12
-    start: dict[int, Vec2] = {}
-    direction: dict[int, Vec2] = {}
+def _triple_disk() -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Rotation system: at the crossing of strands s and t, the four pieces
+    in counterclockwise order of their outgoing directions.
+
+    Pieces of strand s run from end s to end s + 3: piece 0 before the first
+    crossing, piece 1 between, piece 2 after the second.
+    """
+    chord: dict[int, tuple[Vec2, Vec2]] = {}
     for s in (1, 2, 3):
-        p, q = ends[s], ends[s + 3]
+        p, q = (Vec2(math.cos((k - 1) * math.pi / 3),
+                     math.sin((k - 1) * math.pi / 3)) for k in (s, s + 3))
         d = (q - p).normalized()
-        off = Vec2(-d.y, d.x).scaled(delta * (s - 2))
-        start[s] = p + off
-        direction[s] = d
-
-    def intersect(s: int, t: int) -> tuple[Vec2, float, float]:
-        p, r = start[s], direction[s]
-        q, u = start[t], direction[t]
-        den = r.cross(u)
-        qp = q - p
-        return (p + r.scaled(qp.cross(u) / den),
-                qp.cross(u) / den, qp.cross(r) / den)
-
-    pairs = ((1, 2), (1, 3), (2, 3))
+        off = Vec2(-d.y, d.x).scaled(0.12 * (s - 2))
+        chord[s] = (p + off, q + off)
     along: dict[int, list[tuple[float, tuple[int, int]]]] = {1: [], 2: [], 3: []}
-    for s, t in pairs:
-        _, ts, tt = intersect(s, t)
-        along[s].append((ts, (s, t)))
-        along[t].append((tt, (s, t)))
-    for s in (1, 2, 3):
-        along[s].sort()
+    for s, t in PAIRS:
+        hit = segment_intersection(*chord[s], *chord[t])
+        along[s].append((hit.t, (s, t)))
+        along[t].append((hit.s, (s, t)))
 
-    # Pieces of strand s, from end s to end s + 3: piece 0 before the first
-    # crossing, piece 1 between, piece 2 after the second.
-    piece_between: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    for s in (1, 2, 3):
-        first, second = along[s][0][1], along[s][1][1]
-        piece_between[(s, 0)] = (("end", s), first)          # type: ignore[assignment]
-        piece_between[(s, 1)] = (first, second)
-        piece_between[(s, 2)] = (second, ("end", s + 3))     # type: ignore[assignment]
-
-    # Rotation system: at the crossing of strands s and t, the four pieces
-    # in counterclockwise order of their outgoing directions.
     rotation: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for s, t in pairs:
+    for s, t in PAIRS:
         incident = []
         for strand in (s, t):
-            order = [pair for _, pair in along[strand]]
-            idx = order.index((s, t))
-            d = direction[strand]
-            incident.append(((-d).angle(), (strand, idx)))      # piece before
-            incident.append((d.angle(), (strand, idx + 1)))     # piece after
+            idx = [pair for _, pair in sorted(along[strand])].index((s, t))
+            p, q = chord[strand]
+            incident.append(((p - q).angle(), (strand, idx)))      # piece before
+            incident.append(((q - p).angle(), (strand, idx + 1)))  # piece after
         incident.sort()
         rotation[(s, t)] = tuple(piece for _, piece in incident)
-    return {"rotation": rotation, "pieces": piece_between, "pairs": pairs}
+    return rotation
 
 
 def resolve_triple(label: TripleLabeling) -> tuple[FragmentCrossing, ...]:
     """The three pairwise crossings a labeled triple crossing resolves into."""
-    disk = _triple_disk()
-    out = []
-    for s, t in disk["pairs"]:
-        out.append(FragmentCrossing(
-            strands=(s, t),
-            over=label.over_strand(s, t),
-            ports=disk["rotation"][(s, t)],
-        ))
-    return tuple(out)
+    rotation = _triple_disk()
+    return tuple(FragmentCrossing(strands=(s, t), over=label.over_strand(s, t),
+                                  ports=rotation[(s, t)])
+                 for s, t in PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -217,71 +194,42 @@ class ClosureScheme:
 WORKED_SCHEME_PAIRING = ((5, 6), (1, "a"), (2, "c"), (3, "d"), (4, "b"))
 
 
-def _build_map(internal_pair: tuple[int, int],
-               matching: tuple[tuple[int, str], ...]):
-    """Assemble the 4-valent map; return ((rotation, twin), None) or
-    (None, reason).
+def _closure_twin(internal_pair: tuple[int, int],
+                  matching: tuple[tuple[int, str], ...]
+                  ) -> dict[tuple[object, int], tuple[object, int]]:
+    """The 4-valent map of one closure, as its port pairing.
 
-    Nodes are the three resolved triple crossings plus the ordinary
-    crossing, each with a counterclockwise rotation of 4 ports.  ``twin``
-    maps a port (node, position) to the port at the far end of its strand
-    segment, splicing through boundary ends and closure arcs.
+    Nodes are the three resolved triple crossings, in ``PAIRS`` order, then
+    the ordinary crossing ``"trad"``, whose position i is end
+    ``TRAD_ENDS[i]``.  The map sends each port (node, position) to the port
+    at the far end of its edge: piece 1 of each triple strand joins its two
+    crossings, and each closure arc joins the ports of its two ends, which
+    must be each of the ten ends exactly once.  Ports are listed node by
+    node, each in position order: the strand walk starts at the first, and
+    the PD arc labels follow from that start.
     """
-    disk = _triple_disk()
-    rotation: dict[object, tuple] = dict(disk["rotation"])
-    # Ordinary crossing: boundary order per TRAD_ENDS, strands a-d and b-c.
-    rotation["trad"] = tuple(("tpiece", e) for e in TRAD_ENDS)
-
-    # Where each piece attaches: piece id -> list of (node, position).
-    attach: dict[object, list[tuple[object, int]]] = {}
-    for node, ports in rotation.items():
-        for pos, piece in enumerate(ports):
-            attach.setdefault(piece, []).append((node, pos))
-    # Boundary attachments.
-    end_piece: dict[object, object] = {}
-    for (s, i), (lo, hi) in disk["pieces"].items():
-        for side in (lo, hi):
-            if isinstance(side, tuple) and side[0] == "end":
-                end_piece[side[1]] = (s, i)
-    for e in TRAD_ENDS:
-        end_piece[e] = ("tpiece", e)
-
-    # Closure arcs splice two boundary ends together.
-    partner: dict[object, object] = {}
-    a, b = internal_pair
-    partner[a], partner[b] = b, a
-    for e, trad in matching:
-        partner[e], partner[trad] = trad, e
-
-    # twin: follow a port's piece out; if it reaches a boundary end, jump
-    # across the closure arc and continue on the partner end's piece.
-    def far_port(node: object, pos: int) -> tuple[object, int]:
-        piece = rotation[node][pos]
-        at = attach[piece]
-        if len(at) == 2:
-            other = at[0] if at[1] == (node, pos) else at[1]
-            return other
-        # piece touches a boundary end; cross the closure arc
-        end = None
-        if piece[0] == "tpiece":
-            end = piece[1]
-        else:
-            for side in disk["pieces"][piece]:
-                if isinstance(side, tuple) and side[0] == "end":
-                    end = side[1]
-        nxt = end_piece[partner[end]]
-        at2 = attach[nxt]
-        return at2[0]
-
+    arcs = (internal_pair, *matching)
+    ends = [e for arc in arcs for e in arc]
+    if len(ends) != 10 or set(ends) != {*TRIPLE_ENDS, *TRAD_ENDS}:
+        raise InvalidParameterError(
+            f"closure arcs {arcs} do not join each end exactly once")
+    rotation = _triple_disk()
+    port_of_end: dict[object, tuple[object, int]] = {
+        e: ("trad", pos) for pos, e in enumerate(TRAD_ENDS)}
+    middle: dict[int, list[tuple[object, int]]] = {}
+    for node, pieces in rotation.items():
+        for pos, (strand, piece) in enumerate(pieces):
+            if piece == 1:
+                middle.setdefault(strand, []).append((node, pos))
+            else:
+                port_of_end[strand if piece == 0 else strand + 3] = (node, pos)
+    joins = list(middle.values())
+    joins += [(port_of_end[a], port_of_end[b]) for a, b in arcs]
     twin = {}
-    for node, ports in rotation.items():
-        for pos in range(4):
-            twin[(node, pos)] = far_port(node, pos)
-    # sanity: twin is an involution without fixed points
-    for h, k in twin.items():
-        if twin[k] != h or k == h:
-            return None, "closure arcs do not splice into an involution"
-    return (rotation, twin), None
+    for x, y in joins:
+        twin[x], twin[y] = y, x
+    return {(node, pos): twin[(node, pos)]
+            for node in (*rotation, "trad") for pos in range(4)}
 
 
 def _count_faces(twin) -> int:
@@ -300,20 +248,21 @@ def _count_faces(twin) -> int:
     return faces
 
 
-def _single_component(twin) -> bool:
-    """True if following strands straight through visits every edge once."""
-    start = next(iter(twin))
-    cur = start
-    steps = 0
+def _strand_walk(twin) -> list[tuple[object, int]]:
+    """Crossing visits (node, in-position) met by following the strands
+    straight through from the map's first port until it comes round again.
+
+    The map is one closed curve exactly when the walk makes 8 visits, one
+    per edge.
+    """
+    start = cur = next(iter(twin))
+    visits = []
     while True:
         node, pos = twin[cur]
+        visits.append((node, pos))
         cur = (node, (pos + 2) % 4)
-        steps += 1
         if cur == start:
-            break
-        if steps > len(twin):
-            return False
-    return steps == len(twin) // 2
+            return visits
 
 
 def _candidate_pairings() -> Iterator[tuple[tuple[int, int], tuple[tuple[int, str], ...]]]:
@@ -353,12 +302,9 @@ def enumerate_closures(up_to_symmetry: bool = False) -> tuple[ClosureScheme, ...
     out = []
     seen_canonical = set()
     for internal_pair, matching in _candidate_pairings():
-        built, _reason = _build_map(internal_pair, matching)
-        if built is None:
-            continue
-        twin = built[1]
+        twin = _closure_twin(internal_pair, matching)
         faces = _count_faces(twin)
-        if faces != 6 or not _single_component(twin):
+        if faces != 6 or len(_strand_walk(twin)) != 8:
             continue
         if up_to_symmetry:
             canon = min(_rotate_scheme(internal_pair, matching, r6, r4)
@@ -371,21 +317,12 @@ def enumerate_closures(up_to_symmetry: bool = False) -> tuple[ClosureScheme, ...
     return tuple(out)
 
 
-def _worked_scheme_from(schemes: tuple[ClosureScheme, ...]) -> Optional[ClosureScheme]:
-    want_internal = (5, 6)
-    want_matching = tuple(sorted((e, t) for e, t in WORKED_SCHEME_PAIRING
-                                 if isinstance(t, str)))
-    for s in schemes:
-        if (tuple(sorted(s.internal_pair)) == want_internal
-                and tuple(sorted(s.matching)) == want_matching):
-            return s
-    return None
-
-
 def WORKED_SCHEME() -> ClosureScheme:
     """The worked closure scheme; raises if enumeration ever drops it."""
-    s = _worked_scheme_from(enumerate_closures())
-    if s is None:
+    internal_pair, *matching = WORKED_SCHEME_PAIRING
+    s = ClosureScheme(internal_pair=internal_pair, matching=tuple(matching),
+                      faces=6)
+    if s not in enumerate_closures():
         raise RuntimeError("worked closure scheme missing from enumeration")
     return s
 
@@ -402,29 +339,16 @@ def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
     (the a-d strand if true).  The knot is traversed into a signed Gauss
     code, which ``gauss_to_pd`` turns into PD tuples.
     """
-    built, reason = _build_map(scheme.internal_pair, scheme.matching)
-    if built is None:
-        raise InvalidParameterError(reason)
-    rotation, twin = built
-    if _count_faces(twin) != 6 or not _single_component(twin):
+    twin = _closure_twin(scheme.internal_pair, scheme.matching)
+    visits = _strand_walk(twin)
+    if _count_faces(twin) != 6 or len(visits) != 8:
         raise InvalidParameterError("scheme does not close into a planar knot")
-
-    # Traverse the knot: record each crossing visit as (node, in-position).
-    start = next(iter(twin))
-    visits = []
-    cur = start
-    while True:
-        node, pos = twin[cur]
-        visits.append((node, pos))
-        cur = (node, (pos + 2) % 4)
-        if cur == start:
-            break
+    rotation = _triple_disk()
 
     def strand_at(node, pos) -> object:
         if node == "trad":
             return "ad" if pos % 2 == 0 else "bc"
-        piece = rotation[node][pos]
-        return piece[0]  # strand number
+        return rotation[node][pos][0]  # strand number
 
     def under_strand(node) -> object:
         if node == "trad":

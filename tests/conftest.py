@@ -1,17 +1,32 @@
-"""Shared test helpers: exact-arithmetic oracles and generators."""
+"""Shared test helpers: exact-arithmetic oracles, generators and the 8-gon
+census fixture."""
 
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
 from stickknots.codes import CrossingAssignment
+from stickknots.constructions import search_ngon
 from stickknots.geometry import Diagram, Vec2, VectorSet, Walk
 from stickknots.heights import (
     HeightSystem,
     constraints_from_assignment,
     solve_feasibility,
 )
+
+
+@pytest.fixture(scope="session")
+def octagon_census():
+    """The 8-gon census, built once for every test that reads it."""
+    start = time.perf_counter()
+    catalog = search_ngon(8)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 600.0
+    return catalog
 
 
 # ---------------------------------------------------------------------------

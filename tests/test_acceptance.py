@@ -57,7 +57,6 @@ from stickknots.constructions import (
     exhaustive_6gon_check,
     figure_eight_8gon,
     pentagram_5_1,
-    search_ngon,
     trefoil_reference_system,
     trefoil_selection,
     verify_selection,
@@ -74,15 +73,6 @@ from conftest import (
 OCTAGRAM = Ordering((0, 3, 6, 1, 4, 7, 2, 5))
 # one of the 16 feasible assignments of the octagram that form a cinquefoil
 OCTAGRAM_CINQUEFOIL_BITS = 1477
-
-
-@pytest.fixture(scope="module")
-def octagon_census():
-    start = time.perf_counter()
-    catalog = search_ngon(8)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 600.0
-    return catalog
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 from xml.etree import ElementTree
 
+from stickknots import cli
 from stickknots.cli import main
 from stickknots.geometry import detect_crossings
 
@@ -29,6 +30,27 @@ def test_verify_triple_passes(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["kinds"] == ["trefoil", "unknot"]
+
+
+def test_verify_triple_text_format(capsys):
+    code, out = run(capsys, "verify", "triple", "--format", "text")
+    assert code == 0
+    assert out == ("target: triple\n"
+                   "passed: True\n"
+                   "cases: 288\n"
+                   "diff: []\n"
+                   'kinds: ["trefoil", "unknot"]\n'
+                   "schemes: 24\n")
+
+
+def test_verify_bare_selection_covers_7_to_100(capsys):
+    code, out = run(capsys, "verify", "selection")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["target"] == "selection:7-100"
+    assert rep["n_range"] == [7, 100]
+    assert rep["checked"] == 94
+    assert rep["failing_n"] == []
 
 
 def test_verify_selection_range_passes(capsys):
@@ -59,6 +81,44 @@ def test_verify_pentagram_passes(capsys):
     rep = json.loads(out)
     assert rep["sticks"] == 8
     assert rep["plain_feasible"] is False
+
+
+def test_verify_8gon_41_passes(capsys):
+    code, out = run(capsys, "verify", "8gon-41")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ordering"] == [0, 2, 4, 7, 1, 6, 3, 5]
+    assert (rep["crossings"], rep["class"], rep["feasible"]) == (
+        4, "figure_eight", True)
+    assert rep["certificate"]["assignment"] == rep["assignment"]
+    assert rep["certificate"]["margin"] > 0
+
+
+def test_verify_census_writes_its_catalog(octagon_census, monkeypatch,
+                                          tmp_path, capsys):
+    # the census is the session fixture's, so the suite builds it only once
+    def census(n, eps):
+        assert (n, eps) == (8, 1e-9)
+        return octagon_census
+    monkeypatch.setattr(cli.cons, "search_ngon", census)
+    path = tmp_path / "census.jsonl"
+    code, out = run(capsys, "verify", "8gon-census", "--catalog", str(path))
+    # the census holds the {8/3} star's cinquefoils, so the gate fails
+    assert code == 1
+    rep = json.loads(out)
+    records = octagon_census.records
+    assert rep["orderings"] == len(records)
+    assert rep["kinds"] == sorted(octagon_census.kind_set())
+    assert rep["has_cinquefoil"] is True
+    assert rep["diff"] == ["- expected has_cinquefoil: False",
+                           "+ got      has_cinquefoil: True"]
+    assert rep["cinquefoil_records"] == [
+        r.to_json() for r in records
+        if any(label.startswith("cinquefoil") for label in r.classes)]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0] == {"n": 8, "symmetry_reduce": True, "eps": 1e-9,
+                        "records": len(records)}
+    assert lines[1:] == [r.to_json() for r in records]
 
 
 def test_classify_trefoil_and_unknot(capsys):
@@ -96,6 +156,13 @@ def test_classify_degenerate_input_reports_degeneracies(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["degenerate"] is True
     assert rep["degeneracies"]
+
+
+def test_classify_without_an_alternating_assignment_exits_2(capsys):
+    assert main(["classify", "--n", "9",
+                 "--ordering", "0,1,2,7,5,8,3,6,4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: diagram has no alternating assignment\n")
 
 
 def test_render_alternating_on_a_degenerate_diagram_exits_2(capsys):

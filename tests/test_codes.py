@@ -32,6 +32,7 @@ from stickknots.codes import (
     gauss_to_pd,
     jones,
     kauffman_bracket,
+    make_knot_class,
     merge_crossingless_runs,
     pd_writhe,
     stick_filter,
@@ -557,6 +558,15 @@ def test_merged_sticks_never_beat_stick_number():
     assert stick_filter(6, trefoil)
     assert not stick_filter(5, trefoil)
     assert stick_filter(3, UNKNOT)
+
+
+def test_unrecognized_jones_polynomials_share_one_class():
+    # the granny and square knots are outside the table: both are the one
+    # class "other", which carries no invariant of its own
+    j = jones(TREFOIL_PD, pd_writhe(TREFOIL_PD))
+    granny, square = classify_jones(j * j), classify_jones(j * j.mirror())
+    assert granny == square == make_knot_class("other")
+    assert (granny.label, granny.stick_number) == ("other", None)
 
 
 def test_alternating_assignment_existence():

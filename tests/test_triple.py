@@ -8,6 +8,7 @@ from stickknots.geometry import InvalidParameterError
 from stickknots.codes import pd_writhe
 from stickknots.triple import (
     WORKED_SCHEME,
+    ClosureScheme,
     TripleLabeling,
     all_labelings,
     assemble_pd,
@@ -38,6 +39,16 @@ def test_top_over_twice_bottom_under_twice():
         assert under[bottom] == 2
 
 
+def test_resolved_ports_follow_the_rotation_system():
+    # counterclockwise (strand, piece) ports at each pairwise crossing; the
+    # labeling picks only which strand is over
+    rotation = {(1, 2): ((1, 1), (2, 1), (1, 2), (2, 2)),
+                (1, 3): ((1, 0), (3, 1), (1, 1), (3, 2)),
+                (2, 3): ((2, 0), (3, 0), (2, 1), (3, 1))}
+    for lab in all_labelings():
+        assert {f.strands: f.ports for f in resolve_triple(lab)} == rotation
+
+
 def test_resolved_fragments_distinct_across_labelings():
     fragments = {resolve_triple(lab) for lab in all_labelings()}
     assert len(fragments) == 6
@@ -61,6 +72,29 @@ def test_worked_scheme_is_enumerated():
     assert dict(s.matching) == {1: "a", 2: "c", 3: "d", 4: "b"}
     assert s.arc_partner(5) == 6
     assert s.arc_partner(2) == "c"
+
+
+@pytest.mark.parametrize("matching", [
+    ((1, "a"), (2, "c"), (3, "d")),              # skips end 4 and end b
+    ((1, "a"), (2, "c"), (3, "d"), (3, "b")),    # repeats end 3
+], ids=["skipped_end", "repeated_end"])
+def test_assemble_pd_rejects_arcs_that_miss_an_end(matching):
+    scheme = ClosureScheme(internal_pair=(5, 6), matching=matching, faces=6)
+    with pytest.raises(InvalidParameterError, match="exactly once"):
+        assemble_pd(scheme, all_labelings()[0], True)
+
+
+# No candidate is planar with more than one curve, so both cases trace 4
+# faces; the second also walks only 5 of its 8 edges.
+@pytest.mark.parametrize("matching", [
+    ((3, "a"), (4, "b"), (5, "d"), (6, "c")),
+    ((3, "a"), (4, "b"), (5, "c"), (6, "d")),
+], ids=["one_curve", "two_curves"])
+def test_assemble_pd_rejects_a_candidate_the_enumeration_drops(matching):
+    scheme = ClosureScheme(internal_pair=(1, 2), matching=matching, faces=6)
+    assert scheme not in enumerate_closures()
+    with pytest.raises(InvalidParameterError, match="planar knot"):
+        assemble_pd(scheme, all_labelings()[0], True)
 
 
 def test_no_ordinary_end_pairs_with_another():
@@ -114,3 +148,5 @@ def test_report_shape():
     assert rep["cases"] == 24 * 6 * 2
     assert rep["kinds"] == ["trefoil", "unknot"]
     assert len(rep["rows"]) == rep["cases"]
+    assert Counter(row["class"] for row in rep["rows"]) == {
+        "unknot": 240, "trefoil_right": 24, "trefoil_left": 24}
