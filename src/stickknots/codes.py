@@ -317,7 +317,8 @@ _PAIR_B = ((0, 1), (2, 3))
 #: after it, and one transition table per value of the crossing's flip bit.
 #: A table holds, for each state before the step, the row (A-child,
 #: multiplier, shift, B-child, multiplier, shift): each child gains the
-#: state's packed value times the multiplier, shifted right.
+#: state's packed value times the multiplier, shifted right, or, where the
+#: multiplier is 0, the value shifted left.
 _Row = tuple[int, int, int, int, int, int]
 _Step = tuple[int, int, tuple[tuple[_Row, ...], tuple[_Row, ...]]]
 
@@ -344,7 +345,9 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
     d^L = (-(1 + Y^2))^L / Y^L, stored as the multiplier (-(1 + Y^2))^L
     and a right shift by L digits (Y = 2^w, w = 3c + 2).  The smoothing
     that counts as A under the flip bit also multiplies by Y, one digit
-    less of shift, or the multiplier Y when it closes no loop.  The last
+    less of shift.  A smoothing that closes no loop multiplies by Y or by
+    1, so it is stored as the multiplier 0, which marks a left shift by one
+    digit or by none, and no bignum multiply.  The last
     step leaves no open end, so each of its smoothings closes at least one
     loop; its loop counts are lowered by one, which turns the state sum's
     d^loops into the bracket's d^(loops - 1).
@@ -355,12 +358,12 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
             raise InvalidParameterError(
                 f"arc label {arc} appears {times} times (expected 2)")
     w = _digit_width(len(pd))
-    y_value = 1 << w
-    moves = {}  # (loops, 1 if the smoothing counts as A) -> (multiplier, shift)
-    for loops in range(3):  # each of a smoothing's two joins closes <= 1
-        d_power = (-1 - y_value * y_value) ** loops
+    # (loops, 1 if the smoothing counts as A) -> (multiplier, shift)
+    moves = {(0, 0): (0, 0), (0, 1): (0, w)}
+    for loops in (1, 2):  # each of a smoothing's two joins closes <= 1
+        d_power = (-1 - (1 << 2 * w)) ** loops
         moves[loops, 0] = (d_power, loops * w)
-        moves[loops, 1] = (d_power, (loops - 1) * w) if loops else (y_value, 0)
+        moves[loops, 1] = (d_power, (loops - 1) * w)
     seen: Counter = Counter()
     ends: list[int] = []
     states: list[tuple[int, ...]] = [()]
@@ -428,8 +431,10 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
         grown = [0] * n_states
         for (a_child, a_mul, a_shift, b_child, b_mul, b_shift), value in zip(
                 tables[flip >> k & 1], values):
-            grown[a_child] += value * a_mul >> a_shift
-            grown[b_child] += value * b_mul >> b_shift
+            grown[a_child] += (value * a_mul >> a_shift if a_mul
+                               else value << a_shift)
+            grown[b_child] += (value * b_mul >> b_shift if b_mul
+                               else value << b_shift)
         values = grown
     return _decode(values[0], c, w)
 

@@ -289,6 +289,10 @@ def segment_intersection(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
         return None
     if s * len2 < -eps or (s - 1.0) * len2 > eps:
         return None
+    if math.isnan(t):  # inf - inf: every comparison above was false
+        raise InvalidParameterError(
+            "the crossing test's cross products overflowed: non-finite "
+            "meeting point; coordinates near 1e154 or beyond are too large")
     point = Vec2(p0.x + t * d1.x, p0.y + t * d1.y)
     near_end = min(
         (point - p0).norm(), (point - p1).norm(),
@@ -702,6 +706,11 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
             e = (v + 1) % 3
             ln = collapsed.edge_vec(e).norm()
             s = _vertex_on_edge_param(collapsed, v, e)
+            if math.isnan(s):  # inf / inf
+                raise InvalidParameterError(
+                    "the vertex-on-edge test's dot products overflowed: "
+                    "non-finite edge parameter; coordinates near 1e154 or "
+                    "beyond are too large")
             off = (collapsed.point_on_edge(e, s) - collapsed.vertex(v)).norm()
             if off <= eps and eps < s * ln < ln - eps:
                 contacts.add(("vertex_on_edge", (v, e)))

@@ -16,15 +16,21 @@ diagram are the cells of a central hyperplane arrangement, one hyperplane
 per crossing.  :func:`feasible_assignments` walks the tree of those cells
 depth first, one crossing per level, in the manner of reverse search
 (Avis & Fukuda, 1996).  One model per diagram holds the rows of the
-current path; a child adds one row to its parent's and is solved,
-warm-started, only where the parent's witness heights do not already
-decide it.  Its cost follows the number of feasible assignments rather
-than 2^c.  :func:`solve_feasibility` answers a single system with a fresh
-model.
+current path, and most children need no LP.  A ratio test moves the
+parent's witness heights along the child's row, halfway from where that
+row turns positive to where a parent row would stop being positive,
+which decides most feasible children.  An LP that ends infeasible leaves
+a Gordan certificate, a nonnegative combination of rows that vanishes
+(HiGHS's dual ray), and the certificate rules out every later child that
+holds the same signed rows.  The remaining children are solved,
+warm-started from the last basis.  Its cost follows the number of
+feasible assignments rather than 2^c.
+:func:`solve_feasibility` answers a single system with a fresh model.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -188,22 +194,34 @@ def _lp_model(A: np.ndarray, presolve: bool) -> _core._Highs:
     return model
 
 
+class _NoHeights(enum.Enum):
+    """Why :func:`_solve` returned no heights."""
+
+    INFEASIBLE = "infeasible"  # HiGHS proved it; getDualRay holds a ray
+    SCALE_GUARD = "scale guard"  # heights beyond MAX_CERTIFICATE_SCALE
+    NO_MARGIN = "non-positive margin"  # some slack on A is not positive
+
+
 def _solve(model: _core._Highs,
-           A: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+           A: np.ndarray) -> tuple[np.ndarray, float] | _NoHeights:
     """Run the model of A's rows: its heights and their margin on A, or
-    None when the system is infeasible or the heights fail
-    :func:`_accepted_margin`."""
+    why there are none: the model is infeasible, or the heights fail
+    :func:`_accepted_margin` by their scale or by a slack."""
     model.run()
     status = model.getModelStatus()
     if status == _core.HighsModelStatus.kInfeasible:
-        return None
+        return _NoHeights.INFEASIBLE
     if status != _core.HighsModelStatus.kOptimal:
         raise RuntimeError("linear program did not converge: "
                            + model.modelStatusToString(status))
     x = np.array(model.getSolution().col_value)
     z = x[:A.shape[1]] - x[A.shape[1]:]
     margin = _accepted_margin(A, z)
-    return None if margin is None else (z, margin)
+    if margin is not None:
+        return z, margin
+    if float(np.max(np.abs(z))) > MAX_CERTIFICATE_SCALE:
+        return _NoHeights.SCALE_GUARD
+    return _NoHeights.NO_MARGIN
 
 
 def _certificate(n_vars: int, active: np.ndarray, z_active: np.ndarray,
@@ -232,8 +250,9 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     active = np.flatnonzero(np.any(sys.rows != 0.0, axis=0))
     A = np.ascontiguousarray(sys.rows[:, active])
     solved = _solve(_lp_model(A, presolve=True), A)
-    return None if solved is None else _certificate(sys.n_vars, active,
-                                                    *solved)
+    if isinstance(solved, _NoHeights):
+        return None
+    return _certificate(sys.n_vars, active, *solved)
 
 
 def verify_certificate(sys: HeightSystem,
@@ -246,6 +265,33 @@ def verify_certificate(sys: HeightSystem,
                         min_slack=min(slacks))
 
 
+def _gordan_rows(model: _core._Highs, A: np.ndarray) -> Optional[np.ndarray]:
+    """The rows of A that the infeasible model's dual ray combines, or None
+    when the ray does not pass as a Gordan certificate.
+
+    The ray y is kept on the rows J where it exceeds 1e-9 of its largest
+    entry, and on the last row; entries left out, rounding noise of either
+    sign among them, play no part.  It passes when y_J >= 0 and
+    |y_J^T A_J|_1 is below sum(y_J) / (2 MAX_CERTIFICATE_SCALE).  Heights z
+    with every slack on A_J at least 1/2 would give sum(y_J) / 2 <=
+    y_J^T A_J z <= |y_J^T A_J|_1 max|z|, so they would have to exceed the
+    scale guard: no heights that :func:`_accepted_margin` accepts, at the
+    walk's margin of about 1, satisfy the rows J.
+    """
+    _, has_ray, y = model.getDualRay()
+    y = np.asarray(y)
+    if not has_ray or not float(np.max(y)) > 0.0:
+        return None
+    keep = y > 1e-9 * float(np.max(y))
+    keep[-1] = True
+    rows = np.flatnonzero(keep)
+    y = y[rows]
+    residual = float(np.sum(np.abs(y @ A[rows])))
+    if y[-1] < 0.0 or 2.0 * MAX_CERTIFICATE_SCALE * residual >= np.sum(y):
+        return None
+    return rows
+
+
 def feasible_assignments(d: Diagram,
                          split_vertices: frozenset[int] = frozenset()
                          ) -> list[tuple[CrossingAssignment, HeightCertificate]]:
@@ -253,18 +299,34 @@ def feasible_assignments(d: Diagram,
 
     Flipping crossing k negates row r_k of the system with every ``edge_a``
     over, so the feasible assignments are the cells of the central
-    arrangement {r_k . z = 0}.  A cell on crossings 0..k has two children,
-    one on each side of r_{k+1} . z = 0, and the cells form a tree that is
+    arrangement {r_k . z = 0}.  A cell on crossings 0..k-1 has two children,
+    one on each side of r_k . z = 0, and the cells form a tree that is
     walked depth first over one HiGHS model (:func:`_lp_model`, presolve
     off) holding the signed rows of the current path: entering a child
     adds its row, leaving it deletes the row.  Each cell keeps witness
-    heights.  Stepped a little along +-r_k towards a child's side and
-    rescaled to margin 1, the parent's witness decides the child without
-    an LP when it passes :func:`_accepted_margin`, the same acceptance as
-    :func:`solve_feasibility`'s.  Otherwise the model is run again,
-    warm-started from the basis of its last run, so each LP costs a few
-    pivots.  Crossing 0 is fixed with ``edge_a`` over, and the total flips
-    are the antipodal cells, with exactly negated heights.  Results are in
+    heights z with margin about 1, and a child is decided in the first of
+    three ways that applies.
+
+    - A ratio test.  Moving the parent's witness along s r_k (s = +-1 for
+      the child's side) changes the parent's slacks by t s (S r_k) and the
+      new row's by t |r_k|^2.  The new row turns positive past
+      t0 = max(0, -s r_k.z / |r_k|^2), and the parent's rows stay positive
+      below the least slack_j / -s (S r_k)_j over the rows that shrink.
+      When t0 lies below that limit, the midpoint step, rescaled to margin
+      1, is the child's witness if it passes :func:`_accepted_margin`, the
+      same acceptance as :func:`solve_feasibility`'s.  The root starts
+      from r_0 / |r_0|^2.
+    - A reused certificate.  When a child's LP ends infeasible, the dual
+      ray of its model is a Gordan certificate on some of its rows J
+      (:func:`_gordan_rows`).  A later child on the same side of the same
+      r_k whose path agrees with it on J holds the same signed rows, so the
+      same certificate rules it out, and the model is not touched.
+    - Otherwise the child's row is added and the model is run again,
+      warm-started from the basis of its last run, so each LP costs a few
+      pivots.
+
+    Crossing 0 is fixed with ``edge_a`` over, and the total flips are the
+    antipodal cells, with exactly negated heights.  Results are in
     ascending bits.
     """
     d.require_clean()
@@ -275,41 +337,70 @@ def feasible_assignments(d: Diagram,
         return [(CrossingAssignment(()), solve_feasibility(base))]
     active = np.flatnonzero(np.any(base.rows != 0.0, axis=0))
     R = np.ascontiguousarray(base.rows[:, active])
-    # |r_j . r_k|: a step of margin / (2 max_j |r_j . r_k|) along r_k keeps
-    # every earlier slack above margin / 2
-    gram = np.abs(R @ R.T)
-    steps = [R[k] / (2.0 * float(np.max(gram[k, :k + 1]))) for k in range(c)]
+    norms = [float(r @ r) for r in R]
     # addRow arguments of each crossing's row, by bit: 0 negates it
     entries = [(_row_entries(-r), _row_entries(r)) for r in R]
     # the signed rows of the current path: S[:k + 1] is a cell's system
     S = R.copy()
     model = _lp_model(R[:1], presolve=False)
+    # by crossing k and bit: a Gordan certificate's row mask over 0..k-1,
+    # mapped to the paths' bits on it that it rules out
+    ruled_out: list[tuple[dict[int, set[int]], ...]] = [
+        ({}, {}) for _ in range(c)]
     cells = []  # (bits, witness heights, margin) of the full cells found
 
     def descend(k: int, bits: int, z: np.ndarray, margin: float) -> None:
         if k == c:
             cells.append((bits, z, margin))
             return
+        r, rr = R[k], norms[k]
+        slack = S[:k] @ z
+        g = S[:k] @ r
+        v = float(r @ z)
+        # a step t along -r_k (bit 0) keeps row j positive below
+        # slack_j / g_j where g_j > 0, and along +r_k (bit 1) below
+        # slack_j / -g_j where g_j < 0
+        rate = g / slack
+        fall, rise = float(rate.max(initial=0.0)), float(rate.min(initial=0.0))
+        limits = (1.0 / fall if fall > 0.0 else math.inf,
+                  -1.0 / rise if rise < 0.0 else math.inf)
         for bit in (0, 1):
             sign = 2.0 * bit - 1.0
-            S[k] = R[k] if bit else -R[k]
+            np.multiply(r, sign, out=S[k])
             A = S[:k + 1]
-            w = z + sign * margin * steps[k]
-            slack = float(np.min(A @ w))
+            t0, t_max = max(0.0, -sign * v / rr), limits[bit]
             witness = None
-            if slack > 0.0:
-                m = _accepted_margin(A, w / slack)
-                if m is not None:
-                    witness = (w / slack, m)
+            if t0 < t_max:
+                # with no parent row shrinking, go one unit of slack past t0
+                t = t0 + 1.0 / rr if t_max == math.inf else 0.5 * (t0 + t_max)
+                low = min(float((slack + sign * t * g).min()),
+                          sign * v + t * rr)
+                if low > 0.0:
+                    w = (z + sign * t * r) / low
+                    m = _accepted_margin(A, w)
+                    if m is not None:
+                        witness = (w, m)
+            if witness is None and any(
+                    bits & mask in seen
+                    for mask, seen in ruled_out[k][bit].items()):
+                continue
             model.addRow(1.0, _core.kHighsInf, *entries[k][bit])
             if witness is None:
                 witness = _solve(model, A)
-            if witness is not None:
+                if witness is _NoHeights.INFEASIBLE:
+                    rows = _gordan_rows(model, A)
+                    if rows is not None:
+                        mask = sum(1 << int(j) for j in rows[:-1])
+                        ruled_out[k][bit].setdefault(mask, set()).add(
+                            bits & mask)
+            if not isinstance(witness, _NoHeights):
                 descend(k + 1, bits | bit << k, *witness)
             model.deleteRows(1, np.array([k], dtype=np.int32))
 
-    root = _solve(model, R[:1])
-    if root is not None:
+    z0 = R[0] / norms[0]
+    m0 = _accepted_margin(R[:1], z0)
+    root = _solve(model, R[:1]) if m0 is None else (z0, m0)
+    if not isinstance(root, _NoHeights):
         descend(1, 1, *root)
     full = (1 << c) - 1
     found = sorted(cells + [(full ^ bits, -z, m) for bits, z, m in cells],

@@ -415,6 +415,22 @@ def test_scan_still_raises_where_segment_intersection_does(verts, scale,
         detect_crossings(Walk(pts + (pts[0],)))
 
 
+@pytest.mark.parametrize("verts, message", [
+    ([(0, 0), (3, 0), (3, 2), (6, 3), (6, 1)], "cross products overflowed"),
+    # a triangle's vertex-on-edge test divides one overflowed dot product
+    # by another
+    ([(0, 0), (2, 0), (1, 1)], "dot products overflowed"),
+], ids=["crossing_test", "triangle"])
+def test_overflow_is_named_where_it_happens(verts, message):
+    def walk(scale):
+        pts = tuple(Vec2(x * scale, y * scale) for x, y in verts)
+        return Walk(pts + (pts[0],))
+
+    detect_crossings(walk(1e150))  # the same walk scans at 1e150
+    with pytest.raises(InvalidParameterError, match=message):
+        detect_crossings(walk(1e200))
+
+
 def test_scan_tests_few_pairs_of_the_selection_walk(monkeypatch):
     from stickknots.constructions import trefoil_selection
     calls = 0

@@ -25,12 +25,14 @@ from stickknots.heights import (
 )
 from stickknots.constructions import (
     canonical_ordering_classes,
+    search_ngon,
     trefoil_reference_system,
 )
 
 from conftest import (
     brute_feasible_assignments,
     fm_feasible,
+    random_integer_walk,
     walk_from_integer_vertices,
 )
 from stickknots.geometry import detect_crossings
@@ -101,11 +103,27 @@ def test_infeasible_model_reports_a_gordan_ray():
     # nonnegative combination of its rows that vanishes (Gordan)
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
     model = heights._lp_model(A, presolve=False)
-    assert heights._solve(model, A) is None
+    assert heights._solve(model, A) is heights._NoHeights.INFEASIBLE
     _, has_ray, y = model.getDualRay()
     assert has_ray
     assert np.all(y >= 0.0) and np.any(y > 0.0)
     assert np.allclose(y @ A, 0.0)
+
+
+def test_solve_reports_heights_beyond_the_scale_guard():
+    # z0 >= 1e3, z1 >= 1e3 z0 and z2 >= 1e4 z1: feasible, but only with
+    # heights of about 1e10
+    A = np.array([[1e-3, 0.0, 0.0], [-1e3, 1.0, 0.0], [0.0, -1e4, 1.0]])
+    model = heights._lp_model(A, presolve=False)
+    assert heights._solve(model, A) is heights._NoHeights.SCALE_GUARD
+
+
+def test_solve_reports_heights_without_a_positive_margin():
+    # the model's heights (1, 0) meet its own row; on the negated row that
+    # the caller checks them against, their slack is -1
+    model = heights._lp_model(np.array([[1.0, 0.0]]), presolve=False)
+    assert (heights._solve(model, np.array([[-1.0, 0.0]]))
+            is heights._NoHeights.NO_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +282,8 @@ def test_feasible_assignments_equal_brute_force_with_split_vertices():
     _assert_certified(d, feas, splits)
 
 
-def test_heptagram_enumeration_solves_few_lps(monkeypatch):
-    # the 2^c loop solved one LP per complementary pair: 2^13 = 8,192 here
-    d = diagram_from_ordering(regular_ngon(7), HEPTAGRAM_7_3)
-    assert d.n_crossings == 14
+def _count_solves(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows the model holds, rows of A) for each ``_solve`` call."""
     solve = heights._solve
     solves = []
 
@@ -276,26 +292,72 @@ def test_heptagram_enumeration_solves_few_lps(monkeypatch):
         return solve(model, A)
 
     monkeypatch.setattr(heights, "_solve", counting)
+    return solves
+
+
+def test_heptagram_enumeration_solves_few_lps(monkeypatch):
+    # the 2^c loop solved one LP per complementary pair: 2^13 = 8,192 here
+    d = diagram_from_ordering(regular_ngon(7), HEPTAGRAM_7_3)
+    assert d.n_crossings == 14
+    solves = _count_solves(monkeypatch)
     feas = feasible_assignments(d)
     assert feas
     # the model holds one row per crossing of the cell being solved: the
     # root cell has one, and each child adds one to its parent's
     assert all(held == rows for held, rows in solves)
     child_solves = [rows for _, rows in solves if rows > 1]
-    assert 0 < len(child_solves) <= 2048
+    assert 0 < len(child_solves) <= 300
     _assert_certified(d, feas)
 
 
-def test_twenty_crossing_diagram_is_not_refused():
+def test_twenty_crossing_diagram_is_not_refused(monkeypatch):
     # no cap on the crossing count: all cells of the 20-crossing 9-gon
     # class, a few seconds on the warm-started model
     d = diagram_from_ordering(regular_ngon(9),
                               Ordering((0, 3, 7, 2, 6, 1, 4, 8, 5)))
     assert not d.is_degenerate
     assert d.n_crossings == 20
+    solves = _count_solves(monkeypatch)
     feas = feasible_assignments(d)
     assert len(feas) == 14_728
+    assert len(solves) <= 6_000
     _assert_certified(d, feas)
+
+
+def test_seven_gon_census_solves_few_lps(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    search_ngon(7)
+    assert 0 < len(solves) <= 300
+
+
+def test_feasible_assignments_equal_brute_force_on_integer_walks(
+        monkeypatch):
+    # integer walks often have exactly dependent rows, where one Gordan
+    # certificate rules out later children without an LP; without the
+    # certificates the walk must find the same cells with more LPs
+    rng = random.Random(3)
+    solves = _count_solves(monkeypatch)
+    checked = reused = 0
+    while checked < 30:
+        walk = walk_from_integer_vertices(
+            random_integer_walk(rng, rng.randint(5, 9)))
+        d = detect_crossings(walk)
+        if d.is_degenerate or not 3 <= d.n_crossings <= 8:
+            continue
+        solves.clear()
+        feas = feasible_assignments(d)
+        with_certificates = len(solves)
+        with monkeypatch.context() as m:
+            m.setattr(heights, "_gordan_rows", lambda model, A: None)
+            solves.clear()
+            plain = feasible_assignments(d)
+        brute = brute_feasible_assignments(d)
+        assert [a.bits for a, _ in feas] == [a.bits for a, _ in brute]
+        assert [a.bits for a, _ in plain] == [a.bits for a, _ in brute]
+        _assert_certified(d, feas)
+        reused += with_certificates < len(solves)
+        checked += 1
+    assert reused >= 1
 
 
 def _assert_rows_are_signed_base_rows(d, assignments, split_vertices):
