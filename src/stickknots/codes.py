@@ -20,14 +20,15 @@ its loop count is lowered by one, which gives the bracket's
 d^(loops - 1).  The bound: the coefficients' absolute sum is at most
 2^c * 2^(loops - 1) < 2^(3c) < 2^(w - 1), so each balanced digit is one
 coefficient, and no state closes more than 2c loops, so the offset keeps
-every division by Y exact.  The writhe normalization of the decoded
-bracket gives the Jones polynomial.  ``BracketTable`` keeps one
-projection's PD code and its plan, built on first use, and brackets each
-crossing assignment as a flip of it.  The knot is classified among the
-small types (unknot, 3_1, 4_1, 5_1, 5_2) that the stick constructions can
-produce, against reference polynomials computed in-process from standard
-minimal PD fixtures and validated by determinants; tricolorability is read
-off the determinant.
+every division by Y exact.  ``_decode`` reads the digits, with the writhe
+normalization folded in, as the Jones polynomial's (exponent, coefficient)
+pairs.  ``BracketTable`` keeps one projection's PD code and its plan,
+built on first use, and brackets each crossing assignment as a flip of it.
+The knot is classified among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
+that the stick constructions can produce, by one lookup of those pairs
+among reference polynomials computed in-process from standard minimal PD
+fixtures and validated by determinants; tricolorability is read off the
+determinant.
 """
 
 from __future__ import annotations
@@ -217,11 +218,12 @@ def pd_writhe(pd: PDCode) -> int:
     n = 2 * len(pd)
     w = 0
     for a, b, c, d in pd:
-        pos = (d - b) % n == 1
-        neg = (b - d) % n == 1
+        pos, neg = (d - b) % n == 1, (b - d) % n == 1
+        if n == 2:  # two arcs: o_in = u_out (b == c) iff positive
+            pos, neg = b == c, b == a
         if pos == neg:
             raise InvalidParameterError(f"ambiguous crossing orientation {a,b,c,d}")
-        w += 1 if (d - b) % n == 1 else -1
+        w += 1 if pos else -1
     return w
 
 
@@ -406,8 +408,8 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
-def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
-    """Kauffman bracket of a contraction plan's PD code under ``flip``.
+def _evaluate(plan: tuple[_Step, ...], flip: int) -> int:
+    """Packed Kauffman bracket of a contraction plan's PD code under ``flip``.
 
     Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
     what flipping its over/under does.  Each state's partial bracket is one
@@ -420,11 +422,9 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
     Y^(2c) * sum over states of Y^(#A) * d^(loops - 1), and its digits
     decode exactly: their absolute sum is at most 2^c * 2^(loops - 1) <
     2^(3c) < 2^(w - 1), so each digit read in [-2^(w-1), 2^(w-1)) is the
-    coefficient itself.  Only its nonzero digits are walked.
+    coefficient itself.  A crossingless plan gives 1, the one loop.
     """
     c = len(plan)
-    if not c:
-        return LaurentPoly.one()  # a crossingless diagram is one loop
     w = _digit_width(c)
     values = [1 << 2 * c * w]
     for k, n_states, tables in plan:
@@ -436,15 +436,18 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> LaurentPoly:
             grown[b_child] += (value * b_mul >> b_shift if b_mul
                                else value << b_shift)
         values = grown
-    return _decode(values[0], c, w)
+    return values[0]
 
 
-def _decode(packed: int, c: int, w: int) -> LaurentPoly:
-    """The bracket packed by ``_evaluate``: digit i of w bits, read as a
-    balanced digit, is the coefficient of Y^i = A^(2i) in A^c * Y^(2c) *
-    bracket, so of A^(2i - 5c) in the bracket."""
+def _decode(packed: int, c: int, writhe: int) -> tuple[tuple[int, int], ...]:
+    """(-A^3)^(-writhe) * the bracket ``_evaluate`` packed for c crossings,
+    as ascending (exponent, coefficient) pairs, like ``LaurentPoly.key``.
+    Digit i of w bits, read as a balanced digit, is the coefficient of
+    Y^i = A^(2i) in A^c * Y^(2c) * bracket, so of A^(2i - 5c) in it."""
+    w = _digit_width(c)
     mask, half = (1 << w) - 1, 1 << w - 1
-    coeffs: dict[int, int] = {}
+    sign, base = -1 if writhe & 1 else 1, -5 * c - 3 * writhe
+    pairs = []
     i = 0
     while packed:
         skip = ((packed & -packed).bit_length() - 1) // w  # zero digits
@@ -453,25 +456,21 @@ def _decode(packed: int, c: int, w: int) -> LaurentPoly:
         digit = packed & mask
         if digit >= half:
             digit -= 1 << w
-        coeffs[2 * i - 5 * c] = digit
+        pairs.append((2 * i + base, sign * digit))
         packed = (packed - digit) >> w
         i += 1
-    return LaurentPoly(coeffs)
-
-
-def _normalize(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
-    """Writhe normalization (-A^3)^(-writhe) * bracket, in variable A."""
-    return LaurentPoly.monomial((-1) ** (writhe % 2), -3 * writhe) * bracket
+    return tuple(pairs)
 
 
 def kauffman_bracket(pd: PDCode) -> LaurentPoly:
-    """Kauffman bracket of a PD code: its contraction plan at flip 0."""
-    return _evaluate(_contraction_plan(pd), 0)
+    """Kauffman bracket of a PD code: ``jones`` at writhe 0."""
+    return jones(pd, 0)
 
 
 def jones(pd: PDCode, writhe: int) -> LaurentPoly:
     """Writhe-normalized bracket: (-A^3)^(-writhe) * <pd>, in variable A."""
-    return _normalize(kauffman_bracket(pd), writhe)
+    return LaurentPoly(dict(_decode(_evaluate(_contraction_plan(pd), 0),
+                                    len(pd), writhe)))
 
 
 _DET_POINT = cmath.exp(1j * math.pi / 4.0)
@@ -535,6 +534,7 @@ def make_knot_class(kind: str, chirality: Optional[str] = None) -> KnotClass:
 
 
 UNKNOT = make_knot_class("unknot")
+OTHER = make_knot_class("other")
 
 # Standard minimal planar diagrams of the reference knots; only used to
 # compute the reference Jones polynomials in-process (validated by the
@@ -548,16 +548,14 @@ THREE_TWIST_PD: PDCode = ((1, 4, 2, 5), (3, 8, 4, 9), (5, 10, 6, 1),
 
 
 @functools.lru_cache(maxsize=1)
-def _reference_jones() -> tuple[tuple[KnotClass, LaurentPoly], ...]:
-    """Reference (class, Jones) pairs for all recognized small knots.
+def _reference_jones() -> dict[tuple[tuple[int, int], ...], KnotClass]:
+    """Recognized small knots' classes, keyed by their Jones ``key()``.
 
     Chirality labels follow the sign of the minimal diagram's writhe: the
     variant whose alternating minimal diagram has positive writhe is called
     right-handed; its mirror (A -> A^-1) is left-handed.
     """
-    out: list[tuple[KnotClass, LaurentPoly]] = [
-        (UNKNOT, LaurentPoly.one()),
-    ]
+    out = {LaurentPoly.one().key(): UNKNOT}
     for kind, pd in (("trefoil", TREFOIL_PD),
                      ("figure_eight", FIGURE_EIGHT_PD),
                      ("cinquefoil", CINQUEFOIL_PD),
@@ -566,21 +564,18 @@ def _reference_jones() -> tuple[tuple[KnotClass, LaurentPoly], ...]:
         j = jones(pd, w)
         jm = j.mirror()
         if j == jm:
-            out.append((make_knot_class(kind), j))
+            out[j.key()] = make_knot_class(kind)
             continue
         first = "right" if w > 0 else "left"
         second = "left" if w > 0 else "right"
-        out.append((make_knot_class(kind, first), j))
-        out.append((make_knot_class(kind, second), jm))
-    return tuple(out)
+        out[j.key()] = make_knot_class(kind, first)
+        out[jm.key()] = make_knot_class(kind, second)
+    return out
 
 
 def classify_jones(j: LaurentPoly) -> KnotClass:
-    """Match a Jones polynomial against the small-knot reference table."""
-    for kc, ref in _reference_jones():
-        if j == ref:
-            return kc
-    return make_knot_class("other")
+    """Look a Jones polynomial up in the small-knot reference table."""
+    return _reference_jones().get(j.key(), OTHER)
 
 
 def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
@@ -719,10 +714,10 @@ class BracketTable:
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
         _check_assignment(self.diagram, a)
-        return self._bracket(a.bits)
+        return LaurentPoly(dict(self._decoded(a.bits, 0)))
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
-        return _normalize(self.bracket(a), self.writhe(a))
+        return LaurentPoly(dict(self._decoded(a.bits, self.writhe(a))))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
         # the one check per label: the diagram was checked clean when the
@@ -731,9 +726,9 @@ class BracketTable:
         if self.n_crossings < 3:
             return UNKNOT
         writhe = sum(_crossing_signs(self.diagram, a))
-        return classify_jones(_normalize(self._bracket(a.bits), writhe))
+        return _reference_jones().get(self._decoded(a.bits, writhe), OTHER)
 
-    def _bracket(self, flip: int) -> LaurentPoly:
+    def _decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
         if self._plan is None:
             self._plan = _contraction_plan(self._pd)
-        return _evaluate(self._plan, flip)
+        return _decode(_evaluate(self._plan, flip), self.n_crossings, writhe)

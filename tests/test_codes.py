@@ -99,9 +99,10 @@ def test_gauss_code_of_trefoil_projection():
 
 
 def test_pd_writhe_matches_geometric_writhe():
-    for n, ordering in ((7, TREFOIL_7GON), (5, PENTAGRAM),
-                        (8, FIGURE_EIGHT_8GON)):
-        d = _diagram(n, ordering)
+    kink = detect_crossings(walk_from_integer_vertices(
+        [(0, 0), (4, 0), (4, 2), (2, 2), (2, -2), (0, -2)]))
+    for d in (_diagram(7, TREFOIL_7GON), _diagram(5, PENTAGRAM),
+              _diagram(8, FIGURE_EIGHT_8GON), kink):
         for bits in range(1 << d.n_crossings):
             a = CrossingAssignment.from_bits(d.n_crossings, bits)
             g = extract_gauss_code(d, a)
@@ -274,6 +275,28 @@ def test_27_crossing_star_brackets_without_a_cap():
         assert classify(d, a) == table.classify(a) == classify_jones(j)
 
 
+def test_labels_agree_on_a_sample_of_every_clean_7_and_8gon_class():
+    from stickknots.constructions import canonical_ordering_classes
+    rng = random.Random(32)
+    seen = set()
+    for n in (7, 8):
+        vs = regular_ngon(n)
+        for ordering, _ in canonical_ordering_classes(n):
+            d = diagram_from_ordering(vs, ordering)
+            if d.is_degenerate:
+                continue
+            c = d.n_crossings
+            table = BracketTable(d)
+            for bits in rng.sample(range(1 << c), min(1 << c, 32)):
+                a = CrossingAssignment.from_bits(c, bits)
+                j = jones(gauss_to_pd(extract_gauss_code(d, a)),
+                          diagram_writhe(d, a))
+                k = classify(d, a)
+                assert k == table.classify(a) == classify_jones(j)
+                seen.add(k)
+    assert seen == set(codes._reference_jones().values()) | {codes.OTHER}
+
+
 def test_table_classify_checks_the_assignment_below_three_crossings():
     d = _diagram(5, Ordering((0, 1, 2, 3, 4)))
     assert d.n_crossings == 0
@@ -329,6 +352,22 @@ def test_table_below_three_crossings_builds_no_plan(plan_builds):
         assert BracketTable(kink).classify(
             CrossingAssignment.from_bits(1, bits)) == UNKNOT
     assert plan_builds == []
+
+
+def test_census_labels_build_no_laurent_poly(monkeypatch):
+    from stickknots.constructions import search_ngon
+    codes._reference_jones()  # built once per process, before any label
+    built = []
+    init = LaurentPoly.__init__
+
+    def spy(self, coeffs=None):
+        built.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", spy)
+    catalog = search_ngon(7)
+    assert sum(len(r.classes) for r in catalog.records) > 0
+    assert built == []
 
 
 def test_census_builds_at_most_one_plan_per_diagram(plan_builds):
@@ -432,7 +471,8 @@ def _flipped_pd(pd, flip):
 def test_every_flip_of_a_fixture_equals_the_state_sum(pd):
     plan = codes._contraction_plan(pd)
     for flip in range(1 << len(pd)):
-        assert codes._evaluate(plan, flip).coeffs \
+        packed = codes._evaluate(plan, flip)
+        assert dict(codes._decode(packed, len(pd), 0)) \
             == state_sum_bracket(_flipped_pd(pd, flip))
 
 

@@ -1,9 +1,11 @@
 """Source hygiene: no module under src/stickknots imports a name it never
 uses, defines a top-level name that nothing reads, exports a function that
 no other module reads, or gives a function a parameter that its body
-neither reads nor deletes."""
+neither reads nor deletes; and the benchmark tracer finds every function
+it names."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -182,3 +184,19 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_tracer_patches_and_restores_every_layer_function():
+    # bench/tracing.py finds each traced function by name, so a rename in
+    # src/ fails here rather than in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.LAYER_FUNCTIONS:
+        importlib.import_module(f"{tracing.PACKAGE}.{name.split('.')[0]}")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        assert tracer.restore()
