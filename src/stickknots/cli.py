@@ -28,8 +28,8 @@ from .geometry import (
     diagram_from_ordering,
     regular_ngon,
 )
-from .codes import CrossingAssignment, alternating_assignment, classify, \
-    determinant, extract_gauss_code, gauss_to_pd, jones, diagram_writhe
+from .codes import BracketTable, CrossingAssignment, alternating_assignment, \
+    classify, classify_jones
 from .heights import constraints_from_assignment, solve_feasibility
 from . import constructions as cons
 from . import triple as tri
@@ -271,20 +271,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return 1
     c = d.n_crossings
     a = _parse_assignment(d, args.assignment)
-    k = classify(d, a)
+    table = BracketTable(d)
+    j = table.jones(a)
     report = {
         "command": "classify",
         "degenerate": False,
         "crossings": c,
         "assignment": a.bits,
-        "class": k.label,
-        "writhe": diagram_writhe(d, a),
+        "class": classify_jones(j).label,
+        "writhe": table.writhe(a),
         "passed": True,
     }
     if c >= 3:
-        pd = gauss_to_pd(extract_gauss_code(d, a))
-        report["determinant"] = determinant(pd)
-        report["jones"] = jones(pd, diagram_writhe(d, a)).to_json()
+        report["determinant"] = j.determinant()
+        report["jones"] = j.to_json()
     if args.feasibility:
         cert = solve_feasibility(constraints_from_assignment(d, a))
         report["feasible"] = cert is not None

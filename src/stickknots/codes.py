@@ -12,18 +12,13 @@ sends it, so its cost follows the tangle's boundary rather than 2^c
 (Bar-Natan, "Fast Khovanov homology computations", JKTR 2007); none of
 this depends on the over/under choices.  ``_evaluate`` pushes one
 assignment through that plan with each state's partial bracket packed
-into one integer: its polynomial in Y = A^2 evaluated at Y = 2^w, with
-w = 3c + 2 bits per power for c crossings, and offset by Y^(2c) so that
-each closed loop's factor d = -(1 + Y^2) / Y is an exact multiply and
-right shift.  The last step closes at least one loop in every state, so
-its loop count is lowered by one, which gives the bracket's
-d^(loops - 1).  The bound: the coefficients' absolute sum is at most
-2^c * 2^(loops - 1) < 2^(3c) < 2^(w - 1), so each balanced digit is one
-coefficient, and no state closes more than 2c loops, so the offset keeps
-every division by Y exact.  ``_decode`` reads the digits, with the writhe
-normalization folded in, as the Jones polynomial's (exponent, coefficient)
-pairs.  ``BracketTable`` keeps one projection's PD code and its plan,
-built on first use, and brackets each crossing assignment as a flip of it.
+into one integer, its polynomial in Y = A^2 evaluated at Y = 2^w with
+w = 3c + 2 bits per power (the bounds that make each digit one coefficient
+and each division by Y exact are in its docstring).  ``_decode`` reads the
+digits, with the writhe normalization folded in, as the Jones polynomial's
+(exponent, coefficient) pairs.  Each diagram's plan is built at most once and kept
+while the diagram lives; ``BracketTable`` and ``classify`` bracket each
+crossing assignment as a flip of it.
 The knot is classified among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
 that the stick constructions can produce, by one lookup of those pairs
 among reference polynomials computed in-process from standard minimal PD
@@ -36,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -240,16 +236,8 @@ class LaurentPoly:
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
@@ -259,9 +247,6 @@ class LaurentPoly:
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
@@ -286,6 +271,15 @@ class LaurentPoly:
 
     def evaluate(self, a: complex) -> complex:
         return sum(c * a ** e for e, c in self.coeffs.items())
+
+    def determinant(self) -> int:
+        """|value at A = e^{i pi/4}|: a knot's determinant when this is its
+        bracket or Jones polynomial (|Jones at t = -1|, writhe-free)."""
+        val = abs(self.evaluate(cmath.exp(1j * math.pi / 4.0)))
+        out = round(val)
+        if abs(val - out) > 1e-6:
+            raise ArithmeticError(f"determinant {val} is not near an integer")
+        return out
 
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in sorted(self.coeffs.items())}
@@ -349,10 +343,10 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
     that counts as A under the flip bit also multiplies by Y, one digit
     less of shift.  A smoothing that closes no loop multiplies by Y or by
     1, so it is stored as the multiplier 0, which marks a left shift by one
-    digit or by none, and no bignum multiply.  The last
-    step leaves no open end, so each of its smoothings closes at least one
-    loop; its loop counts are lowered by one, which turns the state sum's
-    d^loops into the bracket's d^(loops - 1).
+    digit or by none, and no bignum multiply.  The last step leaves no
+    open end, so each of its smoothings closes at least one loop; its loop
+    counts are lowered by one, which turns the state sum's d^loops into the
+    bracket's d^(loops - 1).
     """
     uses = Counter(arc for tup in pd for arc in tup)
     for arc, times in sorted(uses.items()):
@@ -473,17 +467,9 @@ def jones(pd: PDCode, writhe: int) -> LaurentPoly:
                                     len(pd), writhe)))
 
 
-_DET_POINT = cmath.exp(1j * math.pi / 4.0)
-
-
 def determinant(pd: PDCode) -> int:
-    """|Jones at t = -1| (i.e. |bracket at A = e^{i pi/4}|; the writhe
-    normalization has modulus 1 there and cannot change the value)."""
-    val = abs(kauffman_bracket(pd).evaluate(_DET_POINT))
-    out = round(val)
-    if abs(val - out) > 1e-6:
-        raise ArithmeticError(f"determinant {val} is not near an integer")
-    return out
+    """|Jones at t = -1|, read off the bracket (``LaurentPoly.determinant``)."""
+    return kauffman_bracket(pd).determinant()
 
 
 def tricolorable(g: GaussCode) -> bool:
@@ -527,10 +513,7 @@ _STICK_NUMBER = {
 
 
 def make_knot_class(kind: str, chirality: Optional[str] = None) -> KnotClass:
-    if kind == "other":
-        return KnotClass(kind="other")
-    return KnotClass(kind=kind, chirality=chirality,
-                     stick_number=_STICK_NUMBER[kind])
+    return KnotClass(kind, chirality, _STICK_NUMBER.get(kind))
 
 
 UNKNOT = make_knot_class("unknot")
@@ -566,10 +549,9 @@ def _reference_jones() -> dict[tuple[tuple[int, int], ...], KnotClass]:
         if j == jm:
             out[j.key()] = make_knot_class(kind)
             continue
-        first = "right" if w > 0 else "left"
-        second = "left" if w > 0 else "right"
-        out[j.key()] = make_knot_class(kind, first)
-        out[jm.key()] = make_knot_class(kind, second)
+        hands = ("right", "left") if w > 0 else ("left", "right")
+        for poly, hand in zip((j, jm), hands):
+            out[poly.key()] = make_knot_class(kind, hand)
     return out
 
 
@@ -583,7 +565,8 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 
     Diagrams with fewer than 3 crossings are unknots outright; otherwise the
     Jones polynomial decides (it separates all knots of up to 5 crossings,
-    up to chirality, from each other and from the unknot).
+    up to chirality, from each other and from the unknot).  The bracket
+    comes from the diagram's one plan, shared with its ``BracketTable``s.
     """
     return BracketTable(d).classify(a)
 
@@ -689,25 +672,33 @@ def alternating_assignment(d: Diagram) -> Optional[CrossingAssignment]:
 # ---------------------------------------------------------------------------
 # Classify many assignments of one projection
 
+#: Each live diagram's [PD code, plan or None]; see ``BracketTable``.
+_PROJECTIONS: dict[int, list] = {}
+
 
 class BracketTable:
-    """One projection's PD code, shared across its crossing assignments.
+    """One projection's PD code and plan, shared across its assignments.
 
     Arc labels and the contraction plan do not depend on over/under
     choices; flipping a crossing only swaps its A and B smoothings.  The
-    PD code is built once with every ``edge_a`` under, so the bits of an
-    assignment are exactly the crossings whose smoothings swap.  The plan
-    is built on the first ``bracket`` call and kept, so each bracket is one
-    evaluation of it; a table that never brackets (fewer than 3 crossings,
-    or ``classify`` never called) never builds one.
+    PD code has every ``edge_a`` under, so the bits of an assignment are
+    exactly the crossings whose smoothings swap.  A diagram's first table
+    builds the code and its first bracket the plan (none below 3
+    crossings); ``_PROJECTIONS`` keeps both for every table and ``classify``
+    of it under its ``id``, hashing no diagram, until a finalizer drops
+    them as it dies.  A degenerate diagram raises and stores nothing.
     """
 
     def __init__(self, d: Diagram) -> None:
-        base = CrossingAssignment((False,) * d.n_crossings)
         self.diagram = d
         self.n_crossings = d.n_crossings
-        self._pd = gauss_to_pd(extract_gauss_code(d, base))
-        self._plan: Optional[tuple[_Step, ...]] = None
+        shared = _PROJECTIONS.get(id(d))
+        if shared is None:
+            base = CrossingAssignment((False,) * d.n_crossings)
+            shared = _PROJECTIONS[id(d)] = [
+                gauss_to_pd(extract_gauss_code(d, base)), None]
+            weakref.finalize(d, _PROJECTIONS.pop, id(d))
+        self._shared, self._pd = shared, shared[0]
 
     def writhe(self, a: CrossingAssignment) -> int:
         return diagram_writhe(self.diagram, a)
@@ -720,8 +711,7 @@ class BracketTable:
         return LaurentPoly(dict(self._decoded(a.bits, self.writhe(a))))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
-        # the one check per label: the diagram was checked clean when the
-        # table built its PD code
+        # the one check per label: building the PD code checked the diagram
         _check_assignment(self.diagram, a)
         if self.n_crossings < 3:
             return UNKNOT
@@ -729,6 +719,7 @@ class BracketTable:
         return _reference_jones().get(self._decoded(a.bits, writhe), OTHER)
 
     def _decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
-        if self._plan is None:
-            self._plan = _contraction_plan(self._pd)
-        return _decode(_evaluate(self._plan, flip), self.n_crossings, writhe)
+        plan = self._shared[1]
+        if plan is None:
+            plan = self._shared[1] = _contraction_plan(self._pd)
+        return _decode(_evaluate(plan, flip), self.n_crossings, writhe)

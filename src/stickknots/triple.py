@@ -23,15 +23,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .geometry import InvalidParameterError, Vec2, segment_intersection
-from .codes import (
-    GaussCode,
-    GaussEntry,
-    KnotClass,
-    PDCode,
-    classify_jones,
-    gauss_to_pd,
-    jones,
-)
+from .codes import (OTHER, GaussCode, GaussEntry, KnotClass, PDCode,
+                    _contraction_plan, _decode, _evaluate, _reference_jones,
+                    classify_jones, gauss_to_pd, jones)
 
 __all__ = [
     "TripleLabeling",
@@ -42,6 +36,7 @@ __all__ = [
     "enumerate_closures",
     "classify_triple_plus_one",
     "assemble_pd",
+    "classify_closure",
     "triple_report",
     "WORKED_SCHEME",
 ]
@@ -116,6 +111,9 @@ class FragmentCrossing:
 
 #: The three crossings inside the triple-crossing disk, one per strand pair.
 PAIRS = ((1, 2), (1, 3), (2, 3))
+
+#: Every crossing of a closed-up diagram, in crossing-id (PD tuple) order.
+NODES = (*PAIRS, "trad")
 
 
 @lru_cache(maxsize=1)
@@ -229,7 +227,7 @@ def _closure_twin(internal_pair: tuple[int, int],
     for x, y in joins:
         twin[x], twin[y] = y, x
     return {(node, pos): twin[(node, pos)]
-            for node in (*rotation, "trad") for pos in range(4)}
+            for node in NODES for pos in range(4)}
 
 
 def _count_faces(twin) -> int:
@@ -331,47 +329,49 @@ def WORKED_SCHEME() -> ClosureScheme:
 # Assembly into PD codes and classification
 
 
-def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
-                trad_over_ad: bool) -> tuple[PDCode, int]:
-    """PD code and writhe of one closed-up diagram.
-
-    ``trad_over_ad`` picks which strand of the ordinary crossing goes over
-    (the a-d strand if true).  The knot is traversed into a signed Gauss
-    code, which ``gauss_to_pd`` turns into PD tuples.
-    """
+def _scheme_walk(scheme: ClosureScheme) -> tuple[list, list[int]]:
+    """What every case of a scheme shares: its strand walk, as (crossing,
+    whether the visit runs along the crossing's first strand), and each
+    crossing's sign when its first strand passes under.  A crossing's first
+    strand is its lower-numbered triple strand, or the a-d strand."""
     twin = _closure_twin(scheme.internal_pair, scheme.matching)
     visits = _strand_walk(twin)
     if _count_faces(twin) != 6 or len(visits) != 8:
         raise InvalidParameterError("scheme does not close into a planar knot")
     rotation = _triple_disk()
+    ins = [[0, 0] for _ in NODES]  # in-positions: [first strand, other]
+    walk = []
+    for node, pos in visits:
+        k = NODES.index(node)
+        first = (pos % 2 == 0 if node == "trad"
+                 else rotation[node][pos][0] == node[0])
+        ins[k][not first] = pos
+        walk.append((k, first))
+    # With counterclockwise ports, a crossing is positive exactly when the
+    # over strand enters one step counterclockwise of the under-in.
+    return walk, [1 if o_in == (u_in + 1) % 4 else -1 for u_in, o_in in ins]
 
-    def strand_at(node, pos) -> object:
-        if node == "trad":
-            return "ad" if pos % 2 == 0 else "bc"
-        return rotation[node][pos][0]  # strand number
 
-    def under_strand(node) -> object:
-        if node == "trad":
-            return "bc" if trad_over_ad else "ad"
-        s, t = node
-        return t if label.over_strand(s, t) == s else s
+def _over_bits(label: TripleLabeling, trad_over_ad: bool) -> int:
+    """Bit k set when the first strand of crossing k passes over."""
+    over = [label.over_strand(s, t) == s for s, t in PAIRS] + [trad_over_ad]
+    return sum(b << k for k, b in enumerate(over))
 
-    # Crossing ids follow this node order, which fixes the PD tuple order.
-    nodes = sorted({v[0] for v in visits}, key=str)
-    sign = {}
-    for node in nodes:
-        ins = [pos for v, pos in visits if v == node]
-        u_in = next(p for p in ins if strand_at(node, p) == under_strand(node))
-        o_in = next(p for p in ins if p != u_in)
-        # With counterclockwise ports, the crossing is positive exactly when
-        # the over strand enters one step counterclockwise of the under-in.
-        sign[node] = 1 if o_in == (u_in + 1) % 4 else -1
-    g = GaussCode(tuple(
-        GaussEntry(crossing=nodes.index(node),
-                   over=strand_at(node, pos) != under_strand(node),
-                   sign=sign[node])
-        for node, pos in visits))
-    return gauss_to_pd(g), sum(sign.values())
+
+def _case_pd(walk: list, signs: list[int], bits: int) -> tuple[PDCode, int]:
+    """PD code and writhe, through a signed Gauss code, of a scheme's walk
+    when bit k puts the first strand of crossing k over (negating its sign)."""
+    signs = [-s if bits >> k & 1 else s for k, s in enumerate(signs)]
+    g = GaussCode(tuple(GaussEntry(k, first == bool(bits >> k & 1), signs[k])
+                        for k, first in walk))
+    return gauss_to_pd(g), sum(signs)
+
+
+def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
+                trad_over_ad: bool) -> tuple[PDCode, int]:
+    """PD code and writhe of one closed-up diagram; ``trad_over_ad`` puts
+    the a-d strand of the ordinary crossing over."""
+    return _case_pd(*_scheme_walk(scheme), _over_bits(label, trad_over_ad))
 
 
 def classify_closure(scheme: ClosureScheme, label: TripleLabeling,
@@ -384,12 +384,20 @@ def classify_closure(scheme: ClosureScheme, label: TripleLabeling,
 def _classified_cases(schemes: tuple[ClosureScheme, ...]) -> Iterator[
         tuple[ClosureScheme, TripleLabeling, bool, KnotClass]]:
     """Every scheme with every height labeling and ordinary-crossing
-    choice, and the knot class of each."""
+    choice, and the knot class of each.  A scheme's cases differ only in
+    over/under choices, so as in ``codes.BracketTable`` they share the plan
+    of the case with every first strand under: a case's ``_over_bits`` are
+    its flip bits, and its writhe negates their signs."""
     for scheme in schemes:
+        walk, signs = _scheme_walk(scheme)
+        plan = _contraction_plan(_case_pd(walk, signs, 0)[0])
         for label in all_labelings():
             for trad_over_ad in (False, True):
-                yield (scheme, label, trad_over_ad,
-                       classify_closure(scheme, label, trad_over_ad))
+                flip = _over_bits(label, trad_over_ad)
+                writhe = sum(-s if flip >> k & 1 else s
+                             for k, s in enumerate(signs))
+                yield (scheme, label, trad_over_ad, _reference_jones().get(
+                    _decode(_evaluate(plan, flip), len(plan), writhe), OTHER))
 
 
 def classify_triple_plus_one() -> frozenset[KnotClass]:

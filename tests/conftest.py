@@ -3,12 +3,15 @@ census fixture."""
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from stickknots import codes
 from stickknots.codes import CrossingAssignment
 from stickknots.constructions import search_ngon
 from stickknots.geometry import Diagram, Vec2, VectorSet, Walk
@@ -27,6 +30,31 @@ def octagon_census():
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     return catalog
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """The PD codes handed to the contraction-plan builder, in call order.
+
+    The spy replaces ``codes._contraction_plan`` in every module of the
+    package that holds it.  The reference table is built first, and
+    diagrams that earlier tests dropped are collected first, so neither
+    the reference plans nor a plan left in the shared memo counts.
+    """
+    codes._reference_jones()
+    gc.collect()
+    builds = []
+    build = codes._contraction_plan
+
+    def spy(pd):
+        builds.append(pd)
+        return build(pd)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "stickknots"
+                and vars(module).get("_contraction_plan") is build):
+            monkeypatch.setattr(module, "_contraction_plan", spy)
+    return builds
 
 
 # ---------------------------------------------------------------------------

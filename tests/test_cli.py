@@ -135,6 +135,17 @@ def test_classify_trefoil_and_unknot(capsys):
     assert json.loads(out)["class"] == "unknot"
 
 
+def test_classify_builds_one_plan(plan_builds, capsys):
+    # the class, the Jones polynomial and the determinant share one plan
+    code, out = run(capsys, "classify", "--n", "8",
+                    "--ordering", "0,2,4,7,1,6,3,5")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["class"], rep["determinant"]) == ("figure_eight", 5)
+    assert rep["jones"] == {"-8": 1, "-4": -1, "0": 1, "4": -1, "8": 1}
+    assert len(plan_builds) == 1
+
+
 def test_classify_with_feasibility(capsys):
     code, out = run(capsys, "classify", "--n", "8",
                     "--ordering", "0,2,4,7,1,6,3,5", "--feasibility")

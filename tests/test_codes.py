@@ -123,7 +123,7 @@ def test_laurent_arithmetic_and_mirror():
     assert p.mirror().to_json() == {"-2": 1, "0": -3}
     assert LaurentPoly.from_json(p.to_json()) == p
     assert p.evaluate(2.0) == pytest.approx(1.0)
-    assert (-p + p) == LaurentPoly.zero()
+    assert (-p + p) == LaurentPoly()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_kink_bracket_calibration():
         pd = gauss_to_pd(extract_gauss_code(d, a))
         w = diagram_writhe(d, a)
         assert w in (-1, 1)
-        assert kauffman_bracket(pd) == LaurentPoly.monomial(-1, 3 * w)
+        assert kauffman_bracket(pd) == LaurentPoly({3 * w: -1})
         assert jones(pd, w) == LaurentPoly.one()
         assert classify(d, a).kind == "unknot"
 
@@ -318,20 +318,6 @@ def test_pd_with_an_arc_not_used_twice_is_rejected(pd, message):
             evaluate(pd)
 
 
-@pytest.fixture
-def plan_builds(monkeypatch):
-    """The PD codes handed to the contraction-plan builder, in call order."""
-    builds = []
-    build = codes._contraction_plan
-
-    def spy(pd):
-        builds.append(pd)
-        return build(pd)
-
-    monkeypatch.setattr(codes, "_contraction_plan", spy)
-    return builds
-
-
 def test_table_builds_its_contraction_plan_once(plan_builds):
     d = _diagram(8, OCTAGRAM)
     table = BracketTable(d)
@@ -368,6 +354,57 @@ def test_census_labels_build_no_laurent_poly(monkeypatch):
     catalog = search_ngon(7)
     assert sum(len(r.classes) for r in catalog.records) > 0
     assert built == []
+
+
+def test_tables_and_classify_share_one_plan_per_diagram(plan_builds):
+    # the 9-gon scan's loop on the 8-gon classes: a table labels a sample,
+    # then single-assignment classify labels more of the same diagram
+    from stickknots.constructions import canonical_ordering_classes
+    rng = random.Random(9)
+    vs = regular_ngon(8)
+    diagrams = 0
+    for ordering, _ in canonical_ordering_classes(8):
+        d = diagram_from_ordering(vs, ordering)
+        c = d.n_crossings
+        if d.is_degenerate or c < 3:
+            continue
+        diagrams += 1
+        sample = [CrossingAssignment.from_bits(c, bits)
+                  for bits in rng.sample(range(1 << c), min(1 << c, 6))]
+        table = BracketTable(d)
+        labels = [table.classify(a) for a in sample]
+        assert [classify(d, a) for a in sample] == labels
+    assert diagrams > 10
+    assert len(plan_builds) == diagrams
+
+
+def test_shared_plan_dies_with_its_diagram():
+    import gc
+    import weakref
+    gc.collect()
+    before = len(codes._PROJECTIONS)
+    d = _diagram(8, OCTAGRAM)
+    a = alternating_assignment(d)
+    assert BracketTable(d).classify(a) == classify(d, a)
+    assert len(codes._PROJECTIONS) == before + 1
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+    assert len(codes._PROJECTIONS) == before == 0
+
+
+def test_degenerate_diagram_raises_on_every_classify():
+    from stickknots.geometry import DegenerateDiagramError
+    d = _diagram(7, Ordering((0, 1, 4, 6, 2, 5, 3)))
+    assert d.is_degenerate
+    a = CrossingAssignment((False,) * d.n_crossings)
+    for _ in range(2):
+        with pytest.raises(DegenerateDiagramError):
+            classify(d, a)
+        with pytest.raises(DegenerateDiagramError):
+            BracketTable(d)
+    assert id(d) not in codes._PROJECTIONS
 
 
 def test_census_builds_at_most_one_plan_per_diagram(plan_builds):

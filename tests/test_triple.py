@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from stickknots import codes, triple
 from stickknots.geometry import InvalidParameterError
-from stickknots.codes import pd_writhe
+from stickknots.codes import classify_jones, jones, pd_writhe
 from stickknots.triple import (
     WORKED_SCHEME,
     ClosureScheme,
@@ -150,3 +151,32 @@ def test_report_shape():
     assert len(rep["rows"]) == rep["cases"]
     assert Counter(row["class"] for row in rep["rows"]) == {
         "unknot": 240, "trefoil_right": 24, "trefoil_left": 24}
+
+
+def test_triple_report_builds_one_plan_per_scheme(plan_builds):
+    rep = triple_report()
+    assert rep["schemes"] == 24 and rep["cases"] == 288
+    assert len(plan_builds) == 24
+
+
+def test_per_scheme_plan_agrees_with_assemble_pd_on_every_case():
+    # each case is a flip of its scheme's all-first-strands-under PD code;
+    # the per-case PD code from assemble_pd, with a plan of its own, is the
+    # oracle for the class, the Jones key and the writhe
+    cases = list(triple._classified_cases(enumerate_closures()))
+    assert len(cases) == 288
+    plans = {}
+    for scheme, lab, over_ad, k in cases:
+        walk, signs = triple._scheme_walk(scheme)
+        if scheme not in plans:
+            plans[scheme] = codes._contraction_plan(
+                triple._case_pd(walk, signs, 0)[0])
+        flip = triple._over_bits(lab, over_ad)
+        writhe = sum(-s if flip >> i & 1 else s for i, s in enumerate(signs))
+        pd, w = assemble_pd(scheme, lab, over_ad)
+        j = jones(pd, w)
+        assert w == writhe
+        assert codes._decode(codes._evaluate(plans[scheme], flip), 4,
+                             writhe) == j.key()
+        assert k == classify_jones(j) == classify_closure(scheme, lab, over_ad)
+    assert len(plans) == 24
