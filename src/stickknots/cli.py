@@ -213,6 +213,9 @@ def _verify_census(eps: float, out_catalog: Optional[str]) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
+    if args.catalog is not None and target != "8gon-census":
+        raise InvalidParameterError(
+            "--catalog applies only to verify 8gon-census")
     if target.startswith("selection"):
         report = _verify_selection(*_selection_range(target), args.eps)
     elif target == "6gon":

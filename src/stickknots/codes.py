@@ -16,10 +16,10 @@ into one integer, its polynomial in Y = A^2 evaluated at Y = 2^w with
 w = 3c + 2 bits per power (the bounds that make each digit one coefficient
 and each division by Y exact are in its docstring).  ``_decode`` reads the
 digits, with the writhe normalization folded in, as the Jones polynomial's
-(exponent, coefficient) pairs.  Each diagram's plan is built at most once and kept
-while the diagram lives; ``BracketTable`` and ``classify`` bracket each
-crossing assignment as a flip of it.
-The knot is classified among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
+(exponent, coefficient) pairs.  A diagram's over/under choices, and a
+triple closure scheme's, are flips of one *projection*: a PD code with
+every first strand under, each crossing's writhe sign in it, and its plan.
+A flip is labelled among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
 that the stick constructions can produce, by one lookup of those pairs
 among reference polynomials computed in-process from standard minimal PD
 fixtures and validated by determinants; tricolorability is read off the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -154,19 +153,14 @@ def _check_assignment(d: Diagram, a: CrossingAssignment) -> None:
             f"assignment covers {len(a)} crossings, diagram has {d.n_crossings}")
 
 
-def _crossing_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
+def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
     """Writhe sign of each crossing under the assignment's over/under roles,
-    for a clean diagram and an assignment of its length."""
+    after checking the diagram and the assignment."""
+    d.require_clean()
+    _check_assignment(d, a)
     # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over).
     return [-c.sign if over else c.sign
             for c, over in zip(d.crossings, a.over_a)]
-
-
-def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
-    """``_crossing_signs`` after checking the diagram and the assignment."""
-    d.require_clean()
-    _check_assignment(d, a)
-    return _crossing_signs(d, a)
 
 
 def extract_gauss_code(d: Diagram, a: CrossingAssignment) -> GaussCode:
@@ -565,8 +559,8 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 
     Diagrams with fewer than 3 crossings are unknots outright; otherwise the
     Jones polynomial decides (it separates all knots of up to 5 crossings,
-    up to chirality, from each other and from the unknot).  The bracket
-    comes from the diagram's one plan, shared with its ``BracketTable``s.
+    up to chirality, from each other and from the unknot).  The assignment
+    is labelled as a flip of the diagram's projection (``BracketTable``).
     """
     return BracketTable(d).classify(a)
 
@@ -672,54 +666,69 @@ def alternating_assignment(d: Diagram) -> Optional[CrossingAssignment]:
 # ---------------------------------------------------------------------------
 # Classify many assignments of one projection
 
-#: Each live diagram's [PD code, plan or None]; see ``BracketTable``.
-_PROJECTIONS: dict[int, list] = {}
+
+class _Projection:
+    """A PD code with every first strand under, each crossing's writhe sign
+    in that code, and its contraction plan, built on the first bracket.
+    Bit k of a flip puts crossing k's first strand over, which swaps its A
+    and B smoothings and negates its sign."""
+
+    def __init__(self, g: GaussCode) -> None:
+        self.pd = gauss_to_pd(g)
+        self.signs = tuple(s for _, s in sorted(
+            {e.crossing: e.sign for e in g.entries}.items()))
+        self.plan: Optional[tuple[_Step, ...]] = None
+
+    def writhe(self, flip: int) -> int:
+        """The base signs, with the flipped crossings negated."""
+        return sum(-s if flip >> k & 1 else s
+                   for k, s in enumerate(self.signs))
+
+    def decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
+        """``_decode`` of the flip's bracket, normalized for ``writhe``."""
+        if self.plan is None:
+            self.plan = _contraction_plan(self.pd)
+        return _decode(_evaluate(self.plan, flip), len(self.pd), writhe)
+
+    def label(self, flip: int) -> KnotClass:
+        """The unknot below 3 crossings, otherwise the reference class of
+        the flip's Jones polynomial, or ``OTHER``."""
+        if len(self.pd) < 3:
+            return UNKNOT
+        return _reference_jones().get(
+            self.decoded(flip, self.writhe(flip)), OTHER)
 
 
 class BracketTable:
-    """One projection's PD code and plan, shared across its assignments.
+    """A diagram's crossing assignments, bracketed as flips of its projection.
 
-    Arc labels and the contraction plan do not depend on over/under
-    choices; flipping a crossing only swaps its A and B smoothings.  The
-    PD code has every ``edge_a`` under, so the bits of an assignment are
-    exactly the crossings whose smoothings swap.  A diagram's first table
-    builds the code and its first bracket the plan (none below 3
-    crossings); ``_PROJECTIONS`` keeps both for every table and ``classify``
-    of it under its ``id``, hashing no diagram, until a finalizer drops
-    them as it dies.  A degenerate diagram raises and stores nothing.
+    The projection has every ``edge_a`` under, so an assignment's bits are
+    its flip.  The first table of a diagram keeps the projection in the
+    diagram's own ``__dict__``, as ``functools.cached_property`` would, and
+    the projection holds no reference back: every table and ``classify``
+    of the diagram share one plan, which dies with the diagram.  A
+    degenerate diagram raises and stores nothing.
     """
 
     def __init__(self, d: Diagram) -> None:
         self.diagram = d
-        self.n_crossings = d.n_crossings
-        shared = _PROJECTIONS.get(id(d))
-        if shared is None:
+        if "_projection" not in vars(d):
             base = CrossingAssignment((False,) * d.n_crossings)
-            shared = _PROJECTIONS[id(d)] = [
-                gauss_to_pd(extract_gauss_code(d, base)), None]
-            weakref.finalize(d, _PROJECTIONS.pop, id(d))
-        self._shared, self._pd = shared, shared[0]
+            vars(d)["_projection"] = _Projection(extract_gauss_code(d, base))
+        self._projection = vars(d)["_projection"]
 
     def writhe(self, a: CrossingAssignment) -> int:
-        return diagram_writhe(self.diagram, a)
+        _check_assignment(self.diagram, a)
+        return self._projection.writhe(a.bits)
 
     def bracket(self, a: CrossingAssignment) -> LaurentPoly:
         _check_assignment(self.diagram, a)
-        return LaurentPoly(dict(self._decoded(a.bits, 0)))
+        return LaurentPoly(dict(self._projection.decoded(a.bits, 0)))
 
     def jones(self, a: CrossingAssignment) -> LaurentPoly:
-        return LaurentPoly(dict(self._decoded(a.bits, self.writhe(a))))
+        return LaurentPoly(dict(self._projection.decoded(
+            a.bits, self.writhe(a))))
 
     def classify(self, a: CrossingAssignment) -> KnotClass:
-        # the one check per label: building the PD code checked the diagram
         _check_assignment(self.diagram, a)
-        if self.n_crossings < 3:
-            return UNKNOT
-        writhe = sum(_crossing_signs(self.diagram, a))
-        return _reference_jones().get(self._decoded(a.bits, writhe), OTHER)
-
-    def _decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
-        plan = self._shared[1]
-        if plan is None:
-            plan = self._shared[1] = _contraction_plan(self._pd)
-        return _decode(_evaluate(plan, flip), self.n_crossings, writhe)
+        return self._projection.label(a.bits)

@@ -81,21 +81,27 @@ class HeightSystem:
 
 @dataclass(frozen=True)
 class HeightCertificate:
-    """Heights satisfying every constraint with slack >= margin > 0."""
+    """Heights satisfying every constraint with slack >= margin > 0.
+
+    The empty system's margin is infinite; JSON has no such number, so it
+    is written as null.
+    """
 
     z: tuple[float, ...]
     margin: float
 
     def to_json(self, assignment: Optional[CrossingAssignment] = None) -> dict:
-        obj = {"z": list(self.z), "margin": self.margin}
+        obj = {"z": list(self.z),
+               "margin": self.margin if math.isfinite(self.margin) else None}
         if assignment is not None:
             obj["assignment"] = assignment.bits
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "HeightCertificate":
+        margin = obj["margin"]
         return cls(z=tuple(float(v) for v in obj["z"]),
-                   margin=float(obj["margin"]))
+                   margin=math.inf if margin is None else float(margin))
 
 
 @dataclass(frozen=True)

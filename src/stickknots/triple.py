@@ -23,9 +23,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .geometry import InvalidParameterError, Vec2, segment_intersection
-from .codes import (OTHER, GaussCode, GaussEntry, KnotClass, PDCode,
-                    _contraction_plan, _decode, _evaluate, _reference_jones,
-                    classify_jones, gauss_to_pd, jones)
+from .codes import (GaussCode, GaussEntry, KnotClass, PDCode, _Projection,
+                    gauss_to_pd)
 
 __all__ = [
     "TripleLabeling",
@@ -329,11 +328,11 @@ def WORKED_SCHEME() -> ClosureScheme:
 # Assembly into PD codes and classification
 
 
-def _scheme_walk(scheme: ClosureScheme) -> tuple[list, list[int]]:
-    """What every case of a scheme shares: its strand walk, as (crossing,
-    whether the visit runs along the crossing's first strand), and each
-    crossing's sign when its first strand passes under.  A crossing's first
-    strand is its lower-numbered triple strand, or the a-d strand."""
+def _scheme_code(scheme: ClosureScheme, bits: int) -> GaussCode:
+    """Signed Gauss code of a scheme's case where bit k puts the first
+    strand of crossing k over, which negates the sign it has under.  A
+    crossing's first strand is its lower-numbered triple strand, or the
+    a-d strand."""
     twin = _closure_twin(scheme.internal_pair, scheme.matching)
     visits = _strand_walk(twin)
     if _count_faces(twin) != 6 or len(visits) != 8:
@@ -349,7 +348,11 @@ def _scheme_walk(scheme: ClosureScheme) -> tuple[list, list[int]]:
         walk.append((k, first))
     # With counterclockwise ports, a crossing is positive exactly when the
     # over strand enters one step counterclockwise of the under-in.
-    return walk, [1 if o_in == (u_in + 1) % 4 else -1 for u_in, o_in in ins]
+    signs = [1 if o_in == (u_in + 1) % 4 else -1 for u_in, o_in in ins]
+    return GaussCode(tuple(
+        GaussEntry(k, first == bool(bits >> k & 1),
+                   -signs[k] if bits >> k & 1 else signs[k])
+        for k, first in walk))
 
 
 def _over_bits(label: TripleLabeling, trad_over_ad: bool) -> int:
@@ -358,46 +361,33 @@ def _over_bits(label: TripleLabeling, trad_over_ad: bool) -> int:
     return sum(b << k for k, b in enumerate(over))
 
 
-def _case_pd(walk: list, signs: list[int], bits: int) -> tuple[PDCode, int]:
-    """PD code and writhe, through a signed Gauss code, of a scheme's walk
-    when bit k puts the first strand of crossing k over (negating its sign)."""
-    signs = [-s if bits >> k & 1 else s for k, s in enumerate(signs)]
-    g = GaussCode(tuple(GaussEntry(k, first == bool(bits >> k & 1), signs[k])
-                        for k, first in walk))
-    return gauss_to_pd(g), sum(signs)
-
-
 def assemble_pd(scheme: ClosureScheme, label: TripleLabeling,
                 trad_over_ad: bool) -> tuple[PDCode, int]:
     """PD code and writhe of one closed-up diagram; ``trad_over_ad`` puts
     the a-d strand of the ordinary crossing over."""
-    return _case_pd(*_scheme_walk(scheme), _over_bits(label, trad_over_ad))
+    g = _scheme_code(scheme, _over_bits(label, trad_over_ad))
+    return gauss_to_pd(g), sum(e.sign for e in g.entries if e.over)
 
 
 def classify_closure(scheme: ClosureScheme, label: TripleLabeling,
                      trad_over_ad: bool) -> KnotClass:
     """Knot type of one closed-up, height-labeled diagram."""
-    pd, w = assemble_pd(scheme, label, trad_over_ad)
-    return classify_jones(jones(pd, w))
+    return _Projection(_scheme_code(scheme, 0)).label(
+        _over_bits(label, trad_over_ad))
 
 
 def _classified_cases(schemes: tuple[ClosureScheme, ...]) -> Iterator[
         tuple[ClosureScheme, TripleLabeling, bool, KnotClass]]:
     """Every scheme with every height labeling and ordinary-crossing
-    choice, and the knot class of each.  A scheme's cases differ only in
-    over/under choices, so as in ``codes.BracketTable`` they share the plan
-    of the case with every first strand under: a case's ``_over_bits`` are
-    its flip bits, and its writhe negates their signs."""
+    choice, and the knot class of each.  A scheme's cases are the flips by
+    ``_over_bits`` of its case with every first strand under, so they
+    share that case's projection and plan."""
     for scheme in schemes:
-        walk, signs = _scheme_walk(scheme)
-        plan = _contraction_plan(_case_pd(walk, signs, 0)[0])
+        projection = _Projection(_scheme_code(scheme, 0))
         for label in all_labelings():
             for trad_over_ad in (False, True):
-                flip = _over_bits(label, trad_over_ad)
-                writhe = sum(-s if flip >> k & 1 else s
-                             for k, s in enumerate(signs))
-                yield (scheme, label, trad_over_ad, _reference_jones().get(
-                    _decode(_evaluate(plan, flip), len(plan), writhe), OTHER))
+                yield (scheme, label, trad_over_ad,
+                       projection.label(_over_bits(label, trad_over_ad)))
 
 
 def classify_triple_plus_one() -> frozenset[KnotClass]:

@@ -36,11 +36,15 @@ def octagon_census():
 def plan_builds(monkeypatch):
     """The PD codes handed to the contraction-plan builder, in call order.
 
-    The spy replaces ``codes._contraction_plan`` in every module of the
-    package that holds it.  The reference table is built first, and
-    diagrams that earlier tests dropped are collected first, so neither
-    the reference plans nor a plan left in the shared memo counts.
+    The spy replaces ``codes._contraction_plan``, which no other module of
+    the package may bind, or its builds would escape the spy.  The
+    reference table is built first, and diagrams that earlier tests dropped
+    are collected first, so neither the reference plans nor a plan kept by
+    a diagram still alive counts.
     """
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stickknots" and module is not codes:
+            assert "_contraction_plan" not in vars(module), name
     codes._reference_jones()
     gc.collect()
     builds = []
@@ -50,10 +54,7 @@ def plan_builds(monkeypatch):
         builds.append(pd)
         return build(pd)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "stickknots"
-                and vars(module).get("_contraction_plan") is build):
-            monkeypatch.setattr(module, "_contraction_plan", spy)
+    monkeypatch.setattr(codes, "_contraction_plan", spy)
     return builds
 
 

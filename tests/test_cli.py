@@ -1,11 +1,14 @@
 """Command-line behavior: targets, exit codes, determinism."""
 
 import json
+import math
 from xml.etree import ElementTree
 
 from stickknots import cli
 from stickknots.cli import main
+from stickknots.codes import CrossingAssignment
 from stickknots.geometry import detect_crossings
+from stickknots.heights import HeightCertificate
 
 from conftest import walk_from_integer_vertices
 
@@ -156,6 +159,26 @@ def test_classify_with_feasibility(capsys):
     assert rep["certificate"]["margin"] > 0
 
 
+def test_classify_feasibility_without_crossings_writes_strict_json(capsys):
+    # the empty height system's margin is infinite, which JSON cannot hold
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    argv = ["classify", "--n", "7", "--ordering", "0,1,2,3,4,5,6",
+            "--feasibility"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    cert = json.loads(out, parse_constant=refuse)["certificate"]
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert json.loads(fields["certificate"], parse_constant=refuse) == cert
+    assert cert["margin"] is None
+    back = HeightCertificate.from_json(cert)
+    assert back.margin == math.inf
+    assert back.to_json(CrossingAssignment(())) == cert
+
+
 def test_classify_degenerate_input_reports_degeneracies(tmp_path, capsys):
     verts = [(0, 0), (4, 0), (4, 2), (3, 0), (1, 0), (1, 2), (0, 2)]
     d = detect_crossings(walk_from_integer_vertices(verts))
@@ -232,7 +255,7 @@ def test_report_file_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "no-such-target"]) == 2
     assert main(["classify"]) == 2
     capsys.readouterr()
@@ -242,6 +265,13 @@ def test_usage_errors_exit_2(capsys):
     assert main(["classify", "--n", "7", "--ordering", "0,1,3,5,6,2,4",
                  "--assignment", "0", "--eps", "nan"]) == 2
     assert main(["frobnicate"]) == 2
+    # only the census writes a catalog; any other target refuses the option
+    catalog = tmp_path / "x.jsonl"
+    capsys.readouterr()
+    assert main(["verify", "6gon", "--catalog", str(catalog)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --catalog applies only to verify 8gon-census\n"
+    assert not catalog.exists()
     # selection takes no suffix or exactly :LO-HI with 7 <= LO <= HI
     for target in ("selection:10-8", "selectionXYZ:12-12", "selection:9"):
         assert main(["verify", target]) == 2

@@ -154,6 +154,11 @@ def test_certificate_json_round_trip():
     assert obj["assignment"] == 0b101
     back = HeightCertificate.from_json(obj)
     assert back == cert
+    # the empty system's infinite margin is written as JSON null
+    empty = HeightCertificate(z=(0.0, 0.0), margin=math.inf)
+    obj = empty.to_json(CrossingAssignment(()))
+    assert obj["margin"] is None
+    assert HeightCertificate.from_json(obj) == empty
 
 
 # ---------------------------------------------------------------------------

@@ -160,23 +160,23 @@ def test_triple_report_builds_one_plan_per_scheme(plan_builds):
 
 
 def test_per_scheme_plan_agrees_with_assemble_pd_on_every_case():
-    # each case is a flip of its scheme's all-first-strands-under PD code;
-    # the per-case PD code from assemble_pd, with a plan of its own, is the
-    # oracle for the class, the Jones key and the writhe
-    cases = list(triple._classified_cases(enumerate_closures()))
-    assert len(cases) == 288
-    plans = {}
-    for scheme, lab, over_ad, k in cases:
-        walk, signs = triple._scheme_walk(scheme)
-        if scheme not in plans:
-            plans[scheme] = codes._contraction_plan(
-                triple._case_pd(walk, signs, 0)[0])
-        flip = triple._over_bits(lab, over_ad)
-        writhe = sum(-s if flip >> i & 1 else s for i, s in enumerate(signs))
+    # each case is labelled as a flip of its scheme's projection; the
+    # per-case PD code from assemble_pd, with a plan of its own, is the
+    # oracle for the class and the writhe
+    rows = triple_report()["rows"]
+    cases = [(scheme, lab, over_ad) for scheme in enumerate_closures()
+             for lab in all_labelings() for over_ad in (False, True)]
+    assert len(rows) == len(cases) == 288
+    for row, (scheme, lab, over_ad) in zip(rows, cases):
         pd, w = assemble_pd(scheme, lab, over_ad)
-        j = jones(pd, w)
-        assert w == writhe
-        assert codes._decode(codes._evaluate(plans[scheme], flip), 4,
-                             writhe) == j.key()
-        assert k == classify_jones(j) == classify_closure(scheme, lab, over_ad)
-    assert len(plans) == 24
+        k = classify_jones(jones(pd, w))
+        assert row == {
+            "internal_pair": list(scheme.internal_pair),
+            "matching": [[e, t] for e, t in scheme.matching],
+            "labeling": list(lab.heights),
+            "ordinary_over_ad": over_ad,
+            "class": k.label,
+        }
+        assert classify_closure(scheme, lab, over_ad) == k
+        projection = codes._Projection(triple._scheme_code(scheme, 0))
+        assert projection.writhe(triple._over_bits(lab, over_ad)) == w
