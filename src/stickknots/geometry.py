@@ -267,62 +267,69 @@ def segment_intersection(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
     Returns ``None`` when the segments miss, a :class:`Transversal` for a
     clean interior crossing, or a :class:`DegenerateContact` when the
     intersection falls within ``eps`` of an endpoint or the segments overlap
-    collinearly.
+    collinearly.  A cross product that overflows raises.
     """
-    d1 = p1 - p0
-    d2 = q1 - q0
-    len1 = d1.norm()
-    len2 = d2.norm()
+    x0, y0 = p0.x, p0.y
+    d1x, d1y = p1.x - x0, p1.y - y0
+    d2x, d2y = q1.x - q0.x, q1.y - q0.y
+    len1, len2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
     if len1 <= eps or len2 <= eps:
         raise InvalidParameterError("segment shorter than tolerance")
 
-    den = d1.cross(d2)
-    if abs(den) <= eps * len1 * len2:
-        return _parallel_case(p0, q0, q1, d1, len1, eps)
+    wx, wy = q0.x - x0, q0.y - y0  # w = q0 - p0
+    den, bound = d1x * d2y - d1y * d2x, eps * len1 * len2
+    wd2, wd1 = wx * d2y - wy * d2x, wx * d1y - wy * d1x
+    # An inf or nan here would pass the tests below as a miss or a contact.
+    if not (math.isfinite(den) and math.isfinite(bound)
+            and math.isfinite(wd2) and math.isfinite(wd1)):
+        raise InvalidParameterError(_OVERFLOWED)
+    if abs(den) <= bound:
+        return _parallel_case(p0, q1, d1x, d1y, len1, wx, wy, eps)
 
-    w = q0 - p0
-    t = w.cross(d2) / den
-    s = w.cross(d1) / den
+    t, s = wd2 / den, wd1 / den
     # Reject when the meeting point of the supporting lines lies beyond
     # either segment by more than eps (measured as a distance).
     if t * len1 < -eps or (t - 1.0) * len1 > eps:
         return None
     if s * len2 < -eps or (s - 1.0) * len2 > eps:
         return None
-    if math.isnan(t):  # inf - inf: every comparison above was false
-        raise InvalidParameterError(
-            "the crossing test's cross products overflowed: non-finite "
-            "meeting point; coordinates near 1e154 or beyond are too large")
-    point = Vec2(p0.x + t * d1.x, p0.y + t * d1.y)
+    px, py = x0 + t * d1x, y0 + t * d1y
     near_end = min(
-        (point - p0).norm(), (point - p1).norm(),
-        (point - q0).norm(), (point - q1).norm(),
+        math.hypot(px - x0, py - y0), math.hypot(px - p1.x, py - p1.y),
+        math.hypot(px - q0.x, py - q0.y), math.hypot(px - q1.x, py - q1.y),
     )
     if near_end <= eps:
-        return DegenerateContact("vertex_contact", t=t, s=s, point=point)
-    return Transversal(t=t, s=s, point=point)
+        return DegenerateContact("vertex_contact", t=t, s=s, point=Vec2(px, py))
+    return Transversal(t=t, s=s, point=Vec2(px, py))
 
 
-def _parallel_case(p0: Vec2, q0: Vec2, q1: Vec2, d1: Vec2, len1: float,
-                   eps: float) -> IntersectionResult:
+_OVERFLOWED = ("the crossing test's cross products overflowed: non-finite "
+               "values; coordinates near 1e154 or beyond are too large")
+
+
+def _parallel_case(p0: Vec2, q1: Vec2, d1x: float, d1y: float, len1: float,
+                   wx: float, wy: float, eps: float) -> IntersectionResult:
     """Handle (near-)parallel segments: collinear overlap, endpoint touch, or miss."""
-    off0 = abs((q0 - p0).cross(d1)) / len1
-    off1 = abs((q1 - p0).cross(d1)) / len1
+    vx, vy = q1.x - p0.x, q1.y - p0.y  # v = q1 - p0
+    off0 = abs(wx * d1y - wy * d1x) / len1
+    off1 = abs(vx * d1y - vy * d1x) / len1
+    if not math.isfinite(off1):
+        raise InvalidParameterError(_OVERFLOWED)
     if off0 > eps or off1 > eps:
         return None
     # Collinear within tolerance: compare 1-d projections along d1.
-    u = Vec2(d1.x / len1, d1.y / len1)
+    ux, uy = d1x / len1, d1y / len1
     a0, a1 = 0.0, len1
-    b0 = (q0 - p0).dot(u)
-    b1 = (q1 - p0).dot(u)
+    b0, b1 = wx * ux + wy * uy, vx * ux + vy * uy
     lo = max(min(a0, a1), min(b0, b1))
     hi = min(max(a0, a1), max(b0, b1))
     if hi - lo > eps:
         return DegenerateContact("collinear_overlap")
     if hi - lo >= -eps:
         # Touching only at endpoints.
-        point = p0 + u.scaled(0.5 * (lo + hi))
-        return DegenerateContact("vertex_contact", point=point)
+        k = 0.5 * (lo + hi)
+        return DegenerateContact("vertex_contact", point=Vec2(p0.x + ux * k,
+                                                              p0.y + uy * k))
     return None
 
 
@@ -513,10 +520,13 @@ def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
         changed = False
         m = len(verts)
         for i in range(m):
-            a = verts[i]
-            b = verts[(i + 1) % m]
-            c = verts[(i + 2) % m]
-            if (a - c).norm() <= eps and (a - b).norm() > eps:
+            a, b, c = verts[i], verts[(i + 1) % m], verts[(i + 2) % m]
+            gap = math.hypot(a.x - c.x, a.y - c.y)
+            step = math.hypot(a.x - b.x, a.y - b.y)
+            if gap + step == math.inf:
+                raise InvalidParameterError(
+                    "vertex differences overflowed: non-finite components")
+            if gap <= eps and step > eps:
                 degs.append(Degeneracy(
                     kind="retrace_pair",
                     involved=(i, (i + 1) % m),
@@ -575,12 +585,12 @@ def _interleaved(rays_a: tuple[Vec2, Vec2],
     return pattern[0] != pattern[1] and pattern[1] != pattern[2]
 
 
-def _tangent(rays: tuple[Vec2, Vec2]) -> Vec2:
+def _tangent(rays: tuple[Vec2, Vec2]) -> tuple[float, float]:
     """Direction of travel through the point: the sum of the incoming and
     outgoing unit directions (parallel to both for a straight pass)."""
     back, fwd = rays
-    nb, nf = back.norm(), fwd.norm()
-    return Vec2(fwd.x / nf - back.x / nb, fwd.y / nf - back.y / nb)
+    nb, nf = math.hypot(back.x, back.y), math.hypot(fwd.x, fwd.y)
+    return fwd.x / nf - back.x / nb, fwd.y / nf - back.y / nb
 
 
 def _crossing(a: _Strand, b: _Strand, point: Vec2) -> Crossing:
@@ -588,7 +598,8 @@ def _crossing(a: _Strand, b: _Strand, point: Vec2) -> Crossing:
     the sign is that of cross(tangent on edge_a, tangent on edge_b)."""
     if a.edge > b.edge:
         a, b = b, a
-    sign = 1 if _tangent(a.rays).cross(_tangent(b.rays)) > 0.0 else -1
+    (ax, ay), (bx, by) = _tangent(a.rays), _tangent(b.rays)
+    sign = 1 if ax * by - ay * bx > 0.0 else -1
     return Crossing(edge_a=a.edge, edge_b=b.edge, t_a=a.t, t_b=b.t,
                     point=point, sign=sign)
 
@@ -630,9 +641,9 @@ def _contacts_at(walk: Walk, i: int, j: int, point: Vec2,
     Endpoints of both edges at the point are coincident vertices; an
     endpoint of one edge only lies on the other edge.
     """
-    m = walk.n_edges
-    near_i = [v % m for v in (i, i + 1) if (walk.vertex(v) - point).norm() <= eps]
-    near_j = [v % m for v in (j, j + 1) if (walk.vertex(v) - point).norm() <= eps]
+    m, verts = walk.n_edges, walk.vertices
+    near_i, near_j = ([v % m for v in (e, e + 1) if math.hypot(
+        verts[v].x - point.x, verts[v].y - point.y) <= eps] for e in (i, j))
     if near_i and near_j:
         return [("vertex_coincidence", (min(a, b), max(a, b)))
                 for a in near_i for b in near_j]
@@ -685,9 +696,8 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
             a0, a1, b0, b1 = boxes[j]
             if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
                 continue
-            p0, p1 = collapsed.edge(i)
-            q0, q1 = collapsed.edge(j)
-            res = segment_intersection(p0, p1, q0, q1, eps)
+            res = segment_intersection(verts[i], verts[i + 1], verts[j],
+                                       verts[j + 1], eps)
             if res is None:
                 continue
             if isinstance(res, Transversal):

@@ -4,6 +4,7 @@ census fixture."""
 from __future__ import annotations
 
 import gc
+import math
 import random
 import sys
 import time
@@ -14,7 +15,15 @@ import pytest
 from stickknots import codes
 from stickknots.codes import CrossingAssignment
 from stickknots.constructions import search_ngon
-from stickknots.geometry import Diagram, Vec2, VectorSet, Walk
+from stickknots.geometry import (
+    DegenerateContact,
+    Diagram,
+    InvalidParameterError,
+    Transversal,
+    Vec2,
+    VectorSet,
+    Walk,
+)
 from stickknots.heights import (
     HeightSystem,
     constraints_from_assignment,
@@ -198,6 +207,64 @@ def exact_vertex_contacts(vertices: list[tuple[int, int]]):
                 lo, hi = sorted((t, pos[w]))
                 overlap |= min(hi, length2) > max(lo, 0)
     return contacts, overlap
+
+
+# ---------------------------------------------------------------------------
+# Segment intersection in Vec2 arithmetic: the reference for the narrow phase
+# in geometry.segment_intersection, which works on coordinate locals and must
+# return bitwise-equal results.  Every Vec2 temporary checks that its
+# components are finite.
+
+
+def reference_segment_intersection(p0: Vec2, p1: Vec2, q0: Vec2, q1: Vec2,
+                                   eps: float):
+    d1 = p1 - p0
+    d2 = q1 - q0
+    len1 = d1.norm()
+    len2 = d2.norm()
+    if len1 <= eps or len2 <= eps:
+        raise InvalidParameterError("segment shorter than tolerance")
+
+    den = d1.cross(d2)
+    if abs(den) <= eps * len1 * len2:
+        return _reference_parallel_case(p0, q0, q1, d1, len1, eps)
+
+    w = q0 - p0
+    t = w.cross(d2) / den
+    s = w.cross(d1) / den
+    if t * len1 < -eps or (t - 1.0) * len1 > eps:
+        return None
+    if s * len2 < -eps or (s - 1.0) * len2 > eps:
+        return None
+    if math.isnan(t):
+        raise InvalidParameterError("non-finite meeting point")
+    point = Vec2(p0.x + t * d1.x, p0.y + t * d1.y)
+    near_end = min(
+        (point - p0).norm(), (point - p1).norm(),
+        (point - q0).norm(), (point - q1).norm(),
+    )
+    if near_end <= eps:
+        return DegenerateContact("vertex_contact", t=t, s=s, point=point)
+    return Transversal(t=t, s=s, point=point)
+
+
+def _reference_parallel_case(p0, q0, q1, d1, len1, eps):
+    off0 = abs((q0 - p0).cross(d1)) / len1
+    off1 = abs((q1 - p0).cross(d1)) / len1
+    if off0 > eps or off1 > eps:
+        return None
+    u = Vec2(d1.x / len1, d1.y / len1)
+    a0, a1 = 0.0, len1
+    b0 = (q0 - p0).dot(u)
+    b1 = (q1 - p0).dot(u)
+    lo = max(min(a0, a1), min(b0, b1))
+    hi = min(max(a0, a1), max(b0, b1))
+    if hi - lo > eps:
+        return DegenerateContact("collinear_overlap")
+    if hi - lo >= -eps:
+        point = p0 + u.scaled(0.5 * (lo + hi))
+        return DegenerateContact("vertex_contact", point=point)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,9 @@ def _classes_by_minimum_image(n, use_symmetry):
     return [(Ordering(key), orbit) for key, orbit in sorted(keys.items())]
 
 
-@pytest.mark.parametrize("use_symmetry", [True, False])
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n, use_symmetry",
+                         [(n, s) for n in range(3, 9) for s in (False, True)]
+                         + [(9, True)])
 def test_canonical_classes_equal_minimum_image_grouping(n, use_symmetry):
     assert (canonical_ordering_classes(n, use_symmetry)
             == _classes_by_minimum_image(n, use_symmetry))
@@ -210,6 +211,29 @@ def test_nine_gon_classes_partition_all_orderings():
     classes = canonical_ordering_classes(9)
     assert len(classes) == 1219
     assert sum(orbit for _, orbit in classes) == 40320
+
+
+def test_ten_gon_classes_partition_all_orderings():
+    # a representative that the first-step cut dropped would leave the
+    # orbit sum short of 9!
+    classes = canonical_ordering_classes(10)
+    assert len(classes) == 9468
+    assert sum(orbit for _, orbit in classes) == math.factorial(9)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_representatives_start_with_their_shortest_step(n):
+    for ordering, _ in canonical_ordering_classes(n):
+        perm = ordering.perm
+        steps = [(perm[(j + 1) % n] - perm[j]) % n for j in range(n)]
+        assert perm[1] == min(min(d, n - d) for d in steps), perm
+
+
+@pytest.mark.parametrize("use_symmetry", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_canonical_classes_refuse_fewer_than_three_vectors(n, use_symmetry):
+    with pytest.raises(InvalidParameterError, match="n >= 3"):
+        canonical_ordering_classes(n, use_symmetry)
 
 
 def test_census_forwards_eps_to_stick_merging(monkeypatch):

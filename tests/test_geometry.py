@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     exact_vertex_contacts,
     exact_walk_events,
     random_integer_walk,
+    reference_segment_intersection,
     walk_from_integer_vertices,
 )
 
@@ -445,6 +447,147 @@ def test_scan_tests_few_pairs_of_the_selection_walk(monkeypatch):
     assert detect_crossings(walk).n_crossings == 3
     # 4,850 non-adjacent pairs, nearly all with their boxes apart
     assert calls <= 100
+
+
+# ---------------------------------------------------------------------------
+# The narrow phase against its Vec2-arithmetic reference
+
+
+def _fingerprint(res):
+    """The result's type and kind, and the bit pattern of each of its floats
+    (so 0.0 and -0.0 differ)."""
+    if res is None:
+        return None
+    pt = res.point
+    floats = (res.t, res.s) + ((None, None) if pt is None else (pt.x, pt.y))
+    return (type(res), getattr(res, "kind", None), type(pt),
+            tuple(None if f is None else struct.pack("<d", f) for f in floats))
+
+
+def _matches_reference(p0, p1, q0, q1, eps):
+    """Assert that segment_intersection returns what the reference returns,
+    bit for bit, and raises where it raises; returns the result."""
+    try:
+        want = reference_segment_intersection(p0, p1, q0, q1, eps)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError):
+            segment_intersection(p0, p1, q0, q1, eps)
+        return "raised"
+    got = segment_intersection(p0, p1, q0, q1, eps)
+    assert _fingerprint(got) == _fingerprint(want), (p0, p1, q0, q1, eps)
+    return got
+
+
+def _kind(res):
+    return res if res in (None, "raised") else getattr(res, "kind",
+                                                       "transversal")
+
+
+def test_narrow_phase_matches_reference_on_random_segments():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(4000):
+        style = rng.randrange(3)
+        if style == 0:  # a small grid: contacts, overlaps, zeros
+            pts = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+                   for _ in range(4)]
+        elif style == 1:
+            pts = [Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                   for _ in range(4)]
+        else:  # one line: the parallel branch
+            x, y = rng.uniform(-5, 5), rng.uniform(-5, 5)
+            dx, dy = rng.choice(((1, 0), (0, 1), (1, 2), (3, -1)))
+            pts = [Vec2(x + k * dx, y + k * dy)
+                   for k in (rng.randint(-3, 3) for _ in range(4))]
+        eps = rng.choice((1e-6, 1e-9, 1e-12, 1e-14, 1e-16))
+        kinds[_kind(_matches_reference(*pts, eps))] += 1
+    assert set(kinds) == {None, "raised", "transversal", "vertex_contact",
+                          "collinear_overlap"}
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-14])
+def test_narrow_phase_matches_reference_on_built_pairs(eps):
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for w in (list(_near_parallel_walks(rng, eps, 600))
+              + list(_corner_gap_walks(rng, eps, 300))):
+        kinds[_kind(_matches_reference(*w.edge(0), *w.edge(2), eps))] += 1
+    assert kinds["transversal"] + kinds["vertex_contact"] > 300, kinds
+
+
+def test_narrow_phase_matches_reference_on_nine_gon_walks(small_class_walks):
+    walks = [w for w in small_class_walks if w.n_edges == 9]
+    assert len(walks) == 1219
+    kinds = Counter()
+    for w in walks:
+        for i in range(9):
+            for j in range(i + 1, 9):
+                kinds[_kind(_matches_reference(*w.edge(i), *w.edge(j),
+                                               EPS_DEFAULT))] += 1
+    assert kinds["transversal"] > 2500 and kinds["vertex_contact"] > 10000
+
+
+def test_narrow_phase_raises_wherever_the_reference_raises():
+    # Near the top of the float range a difference of finite endpoints
+    # overflows, and the reference's Vec2 temporaries refuse it; a cross
+    # product that overflows raises in the library alone (the reference
+    # then returns a miss or a contact, or raises on a nan)
+    rng = random.Random(7)
+    # two collinear segments, the far ends of which lie more than the float
+    # range apart, under an eps so small that the parallel bound stays finite
+    cases = [([Vec2(-0.9e308, 0.0), Vec2(-0.9e308 + 1e300, 0.0),
+               Vec2(0.8e308, 0.0), Vec2(0.9e308, 0.0)], 1e-300)]
+    for _ in range(3000):
+        scale = 10.0 ** rng.choice((150, 153, 154, 155, 160, 200, 300, 307,
+                                    308))
+        cases.append(([Vec2(rng.uniform(-1.7, 1.7) * scale,
+                            rng.uniform(-1.7, 1.7) * scale)
+                       for _ in range(4)], EPS_DEFAULT))
+    with pytest.raises(InvalidParameterError):
+        reference_segment_intersection(*cases[0][0], cases[0][1])
+    library_only = 0
+    for pts, eps in cases:
+        try:
+            want = reference_segment_intersection(*pts, eps)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                segment_intersection(*pts, eps)
+            continue
+        try:
+            got = segment_intersection(*pts, eps)
+        except InvalidParameterError as exc:
+            assert "cross products overflowed" in str(exc)
+            library_only += 1
+            continue
+        assert _fingerprint(got) == _fingerprint(want)
+    assert library_only > 100
+
+
+@pytest.mark.parametrize("scale, crossings", [
+    (1e150, 1), (1e154, None), (1e160, None), (1e200, None), (1e300, None),
+])
+def test_overflowing_cross_products_never_drop_a_crossing(scale, crossings):
+    # a bowtie: edges 0 and 2 cross at its centre; from 1e154 on, their
+    # cross product overflows, which once read as parallel (a miss) or as
+    # a contact at t = 0
+    pts = tuple(Vec2(x * scale, y * scale)
+                for x, y in [(0, 0), (1, 1), (1, 0), (0, 1)])
+    walk = Walk(pts + (pts[0],))
+    if crossings is not None:
+        assert detect_crossings(walk).n_crossings == crossings
+        return
+    for call in (lambda: detect_crossings(walk),
+                 lambda: segment_intersection(*walk.edge(0), *walk.edge(2))):
+        with pytest.raises(InvalidParameterError,
+                           match="cross products overflowed"):
+            call()
+
+
+def test_retrace_whose_step_overflows_raises():
+    a, b = Vec2(-1e308, 0.0), Vec2(1e308, 0.0)
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        detect_crossings(Walk((a, b, a)))
 
 
 # ---------------------------------------------------------------------------
