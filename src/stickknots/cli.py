@@ -107,11 +107,8 @@ def _verify_selection(lo: int, hi: int, eps: float) -> dict:
         "target": f"selection:{lo}-{hi}",
         "n_range": [lo, hi],
         "checked": len(rep.results),
-        "failing_n": failing,
         "feasible_trefoil_any": any(r.feasible_trefoil for r in rep.results),
-        "passed": rep.passed,
-        "diff": [] if rep.passed else [f"- expected all checks to pass",
-                                       f"+ got failures at n = {failing}"],
+        **_judged({"failing_n": []}, {"failing_n": failing}),
     }
 
 

@@ -171,23 +171,6 @@ class SelectionReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "results": [{
-                "n": r.n, "X": r.X, "phi": r.phi,
-                "subwalk_pairs": [list(p) for p in r.subwalk_pairs],
-                "crossings": r.crossings,
-                "sin_phi": r.sin_phi,
-                "third_tip": list(r.third_tip),
-                "fourth_above_line": r.fourth_above_line,
-                "projection_class": r.projection_class,
-                "feasible_trefoil": r.feasible_trefoil,
-                "checks": r.checks,
-                "passed": r.passed,
-            } for r in self.results],
-        }
-
 
 #: Bounds quoted for the selection proof, checked with this tolerance.
 _SIN_PHI_LO = 0.149042

@@ -380,6 +380,11 @@ class Crossing:
         )
 
 
+_KINDS = ("retrace_pair", "vertex_coincidence", "vertex_on_edge",
+          "collinear_overlap")
+_RESOLUTIONS = ("collapsed", "crossing", "no_crossing", "unresolved")
+
+
 @dataclass(frozen=True)
 class Degeneracy:
     """A non-transversal contact and how it was resolved.
@@ -411,11 +416,16 @@ class Degeneracy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Degeneracy":
+        kind, resolution = obj["kind"], obj["resolution"]
+        if kind not in _KINDS or resolution not in _RESOLUTIONS:
+            raise InvalidParameterError(
+                f"degeneracy kind {kind!r} or resolution {resolution!r} "
+                "unknown")
         cr = obj.get("crossing")
         return cls(
-            kind=str(obj["kind"]),
+            kind=kind,
             involved=tuple(int(i) for i in obj["involved"]),
-            resolution=str(obj["resolution"]),
+            resolution=resolution,
             crossing=Crossing.from_json(cr) if cr is not None else None,
         )
 
@@ -466,8 +476,9 @@ class Diagram:
 
         Raises InvalidParameterError when a field is missing or malformed,
         the last vertex is not the first, a crossing names an edge outside
-        the walk or has a parameter outside (0, 1].  Degeneracy indices are
-        not range-checked: retrace pairs index the walk before collapse.
+        the walk or of zero length or has a parameter outside (0, 1], or a
+        degeneracy has an unknown kind or resolution.  Degeneracy indices
+        are not range-checked: retrace pairs index the walk before collapse.
         """
         try:
             vectors = None
@@ -498,6 +509,10 @@ class Diagram:
             if not (0.0 < c.t_a <= 1.0 and 0.0 < c.t_b <= 1.0):
                 raise InvalidParameterError(
                     f"crossing parameters ({c.t_a}, {c.t_b}) outside (0, 1]")
+            if any(walk.vertices[e] == walk.vertices[e + 1]
+                   for e in (c.edge_a, c.edge_b)):
+                raise InvalidParameterError(
+                    f"crossing on a zero-length edge ({c.edge_a}, {c.edge_b})")
         return cls(walk=walk, crossings=crossings, degeneracies=degeneracies,
                    vectors=vectors, ordering=ordering)
 

@@ -72,6 +72,9 @@ def render_svg(d: Diagram, assignment: Optional[CrossingAssignment] = None,
     lo_y, hi_y = min(ys) - _MARGIN, max(ys) + _MARGIN
     width = (hi_x - lo_x) * _SCALE
     height = (hi_y - lo_y) * _SCALE
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise InvalidParameterError(
+            f"drawing size {width} x {height} is not finite")
 
     def px(p) -> tuple[str, str]:
         # flip y so the mathematical orientation matches the screen

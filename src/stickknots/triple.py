@@ -271,20 +271,7 @@ def _candidate_pairings() -> Iterator[tuple[tuple[int, int], tuple[tuple[int, st
             yield (a, b), tuple(zip(rest, perm))
 
 
-def _rotate_scheme(internal_pair, matching, r6: int, r4: int):
-    """Image of a scheme under rotating the two disks (60 and 90 degrees)."""
-    def rot_end(e: int) -> int:
-        return (e - 1 + r6) % 6 + 1
-
-    def rot_trad(e: str) -> str:
-        return TRAD_ENDS[(TRAD_ENDS.index(e) + r4) % 4]
-
-    a, b = sorted((rot_end(internal_pair[0]), rot_end(internal_pair[1])))
-    pairs = sorted((rot_end(e), rot_trad(t)) for e, t in matching)
-    return (a, b), tuple(pairs)
-
-
-def enumerate_closures(up_to_symmetry: bool = False) -> tuple[ClosureScheme, ...]:
+def enumerate_closures() -> tuple[ClosureScheme, ...]:
     """All planar single-component closures of the two crossing disks.
 
     A scheme joins one pair of ends of distinct triple-crossing strands and
@@ -292,23 +279,13 @@ def enumerate_closures(up_to_symmetry: bool = False) -> tuple[ClosureScheme, ...
     (ordinary ends never pair with each other: that would make a link or an
     immediately removable kink).  A scheme survives iff the assembled
     4-valent map is planar (6 traced faces) and a single closed curve.
-
-    With ``up_to_symmetry`` the list is reduced by rotations of the two
-    disks, which is the symmetry that lets one fix the internal pair.
     """
     out = []
-    seen_canonical = set()
     for internal_pair, matching in _candidate_pairings():
         twin = _closure_twin(internal_pair, matching)
         faces = _count_faces(twin)
         if faces != 6 or len(_strand_walk(twin)) != 8:
             continue
-        if up_to_symmetry:
-            canon = min(_rotate_scheme(internal_pair, matching, r6, r4)
-                        for r6 in range(6) for r4 in range(4))
-            if canon in seen_canonical:
-                continue
-            seen_canonical.add(canon)
         out.append(ClosureScheme(internal_pair=internal_pair,
                                  matching=matching, faces=faces))
     return tuple(out)

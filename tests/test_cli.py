@@ -1,14 +1,19 @@
 """Command-line behavior: targets, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 from xml.etree import ElementTree
 
+import pytest
+
 from stickknots import cli
 from stickknots.cli import main
 from stickknots.codes import CrossingAssignment
-from stickknots.geometry import detect_crossings
+from stickknots.geometry import Diagram, InvalidParameterError, \
+    detect_crossings
 from stickknots.heights import HeightCertificate
+from stickknots.render import render_svg
 
 from conftest import walk_from_integer_vertices
 
@@ -62,6 +67,52 @@ def test_verify_selection_range_passes(capsys):
     rep = json.loads(out)
     assert rep["checked"] == 6
     assert rep["failing_n"] == []
+
+
+def test_verify_selection_report_bytes(capsys):
+    code, out = run(capsys, "verify", "selection:7-9")
+    assert code == 0
+    assert out == ('{\n'
+                   '  "checked": 3,\n'
+                   '  "diff": [],\n'
+                   '  "failing_n": [],\n'
+                   '  "feasible_trefoil_any": false,\n'
+                   '  "n_range": [\n'
+                   '    7,\n'
+                   '    9\n'
+                   '  ],\n'
+                   '  "passed": true,\n'
+                   '  "target": "selection:7-9"\n'
+                   '}\n')
+    code, out = run(capsys, "verify", "selection:7-9", "--format", "text")
+    assert code == 0
+    assert out == ("target: selection:7-9\n"
+                   "passed: True\n"
+                   "checked: 3\n"
+                   "diff: []\n"
+                   "failing_n: []\n"
+                   "feasible_trefoil_any: false\n"
+                   "n_range: [7, 9]\n")
+
+
+def test_verify_selection_failure_reads_as_a_diff(monkeypatch, capsys):
+    real = cli.cons.verify_selection
+
+    def failing_at_8(ns, eps):
+        rep = real(ns, eps=eps)
+        results = tuple(
+            dataclasses.replace(r, checks={**r.checks, "forced": r.n != 8})
+            for r in rep.results)
+        return dataclasses.replace(rep, results=results)
+
+    monkeypatch.setattr(cli.cons, "verify_selection", failing_at_8)
+    code, out = run(capsys, "verify", "selection:7-9")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["passed"] is False
+    assert rep["failing_n"] == [8]
+    assert rep["diff"] == ["- expected failing_n: []",
+                           "+ got      failing_n: [8]"]
 
 
 def test_verify_7gon_trefoil_reports_honest_failure(capsys):
@@ -300,15 +351,43 @@ def test_format_applies_to_reports_only(capsys):
 
 
 def test_malformed_input_diagram_exits_2(tmp_path, capsys):
-    # a missing field, and a crossing on edge 7 of a 3-edge walk
-    bad_edge = {"vertices": [[0, 0], [1, 0], [0, 1], [0, 0]],
-                "crossings": [{"edge_a": 0, "edge_b": 7, "t_a": 0.5,
-                               "t_b": 0.5, "point": [0.5, 0.0], "sign": 1}]}
-    for name, obj in (("empty.json", {}), ("bad_edge.json", bad_edge)):
+    # a missing field; a crossing on edge 7 of a 3-edge walk; a crossing on
+    # edge 0, from (0, 0) to (0, 0), whose gap render would divide by; and
+    # a degeneracy whose resolution is none of the four, so it read as clean
+    triangle = [[0, 0], [1, 0], [0, 1], [0, 0]]
+    crossing = {"edge_a": 0, "edge_b": 7, "t_a": 0.5, "t_b": 0.5,
+                "point": [0.5, 0.0], "sign": 1}
+    cases = {
+        "empty.json": ({}, "malformed diagram JSON"),
+        "bad_edge.json": ({"vertices": triangle, "crossings": [crossing]},
+                          "outside 0..2"),
+        "zero_edge.json": ({"vertices": [[0, 0]] + triangle,
+                            "crossings": [{**crossing, "edge_b": 2}]},
+                           "zero-length edge"),
+        "unresolved.json": ({"vertices": triangle, "crossings": [],
+                             "degeneracies": [{
+                                 "kind": "vertex_on_edge", "involved": [0, 1],
+                                 "resolution": "Unresolved"}]},
+                            "resolution 'Unresolved'"),
+    }
+    for name, (obj, message) in cases.items():
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         for command in ("classify", "render"):
-            assert main([command, "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "malformed diagram JSON" in err
-    assert "outside 0..2" in err
+            assert main([command, "--input", str(path),
+                         "--assignment", "0"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+
+
+def test_render_refuses_a_drawing_size_that_overflows(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0], [1e308, 0], [1e308, 1e308], [0, 0]],
+        "crossings": []}))
+    assert main(["render", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: drawing size inf x inf is not finite\n")
+    d = Diagram.from_json(json.loads(path.read_text()))
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        render_svg(d)

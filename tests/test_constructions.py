@@ -97,13 +97,6 @@ def test_selection_builds_one_bracket_table_per_diagram(monkeypatch):
     assert built == [trefoil_selection(n) for n in range(7, 13)]
 
 
-def test_selection_json_report_shape():
-    rep = verify_selection(range(7, 9))
-    obj = rep.to_json()
-    assert obj["passed"] is True
-    assert [r["n"] for r in obj["results"]] == [7, 8]
-
-
 def test_feasible_trefoil_ordering_exists_for_seven_vectors():
     # the degeneracy is a property of the selection ordering, not of the
     # 7-gon itself: this reordering carries feasible trefoil assignments

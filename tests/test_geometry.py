@@ -727,6 +727,26 @@ def test_diagram_json_round_trip():
     assert back.n_crossings == d.n_crossings
 
 
+def test_every_emitted_degeneracy_reads_back():
+    # from_json refuses unknown kinds and resolutions; every kind and
+    # resolution the library emits must still read back unchanged
+    from stickknots.constructions import canonical_ordering_classes
+    diagrams = [detect_crossings(walk_from_integer_vertices(
+        [(0, 0), (4, 0), (4, 2), (3, 0), (1, 0), (1, 2), (0, 2)]))]
+    for n in range(4, 9):
+        diagrams += [diagram_from_ordering(regular_ngon(n), o)
+                     for o, _ in canonical_ordering_classes(n)]
+    seen = set()
+    for d in diagrams:
+        obj = d.to_json()
+        assert Diagram.from_json(obj).to_json() == obj
+        seen.update((g.kind, g.resolution) for g in d.degeneracies)
+    assert {k for k, _ in seen} == {"retrace_pair", "vertex_coincidence",
+                                    "vertex_on_edge", "collinear_overlap"}
+    assert {r for _, r in seen} == {"collapsed", "crossing", "no_crossing",
+                                    "unresolved"}
+
+
 def test_diagram_from_json_rejects_malformed_input():
     obj = diagram_from_ordering(
         regular_ngon(7), Ordering((0, 1, 3, 5, 6, 2, 4))).to_json()
@@ -734,6 +754,11 @@ def test_diagram_from_json_rejects_malformed_input():
 
     def with_crossing(**fields):
         return {**obj, "crossings": [{**obj["crossings"][0], **fields}]}
+
+    def with_degeneracy(**fields):
+        deg = {"kind": "vertex_on_edge", "involved": [0, 1],
+               "resolution": "unresolved", **fields}
+        return {**obj, "degeneracies": [deg]}
 
     bad = [
         {k: v for k, v in obj.items() if k != "crossings"},
@@ -744,6 +769,13 @@ def test_diagram_from_json_rejects_malformed_input():
         with_crossing(t_a=0.0),
         with_crossing(t_b=1.5),
         [],
+        # a crossing on edge 0, whose two endpoints are both (0, 0)
+        {"vertices": [[0, 0], [0, 0], [1, 0], [0, 1], [0, 0]],
+         "crossings": [{"edge_a": 0, "edge_b": 2, "t_a": 0.5, "t_b": 0.5,
+                        "point": [0.5, 0.0], "sign": 1}]},
+        with_degeneracy(kind="vertex_on_vertex"),
+        with_degeneracy(resolution="Unresolved"),
+        with_degeneracy(resolution="bogus"),
     ]
     for b in bad:
         with pytest.raises(InvalidParameterError):

@@ -64,7 +64,22 @@ def test_closure_enumeration_and_planarity_witness():
         assert (a - 1) % 3 != (b - 1) % 3 or abs(a - b) != 3
         matched_trad = {t for _, t in s.matching}
         assert matched_trad == {"a", "b", "c", "d"}
-    assert len(enumerate_closures(up_to_symmetry=True)) == 1
+    # the 24 schemes are one orbit of the 6 x 4 rotations of the two disks
+    def rotated(s, r6, r4):
+        def end(e):
+            return (e - 1 + r6) % 6 + 1
+
+        def trad(t):
+            ring = triple.TRAD_ENDS  # the ordinary ends in cyclic order
+            return ring[(ring.index(t) + r4) % 4]
+        return (tuple(sorted(map(end, s.internal_pair))),
+                tuple(sorted((end(e), trad(t)) for e, t in s.matching)))
+
+    keys = {rotated(s, 0, 0) for s in schemes}
+    assert len(keys) == 24
+    for s in schemes:
+        assert {rotated(s, r6, r4)
+                for r6 in range(6) for r4 in range(4)} == keys
 
 
 def test_worked_scheme_is_enumerated():
