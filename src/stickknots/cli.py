@@ -30,7 +30,8 @@ from .geometry import (
 )
 from .codes import BracketTable, CrossingAssignment, alternating_assignment, \
     classify, classify_jones
-from .heights import constraints_from_assignment, solve_feasibility
+from .heights import UndecidedLPError, constraints_from_assignment, \
+    solve_feasibility
 from . import constructions as cons
 from . import triple as tri
 from .render import render_svg
@@ -388,7 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (InvalidParameterError, ValueError, OSError,
-            DegenerateDiagramError) as exc:
+            DegenerateDiagramError, UndecidedLPError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,7 +9,10 @@ for ``rows @ z > 0``.  The system is homogeneous, so feasibility is scale
 invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
 that reformulation is a linear program, built by one function
 (:func:`_lp_model`) as a model of the HiGHS dual simplex (Huangfu & Hall,
-2018) through the binding that scipy ships.
+2018) through the binding that scipy ships.  The binding loads at the
+first LP (:func:`_highs`), not with this module: it pulls in all of
+``scipy.optimize``, which costs more than the rest of the package's
+start, and rendering or classifying a diagram solves nothing.
 
 Flipping a crossing negates its row, so the feasible assignments of one
 diagram are the cells of a central hyperplane arrangement, one hyperplane
@@ -33,18 +36,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from .geometry import Diagram, InvalidParameterError
 from .codes import CrossingAssignment
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from scipy.optimize._highspy import _core
 
 __all__ = [
     "HeightSystem",
     "HeightCertificate",
     "VerifyResult",
+    "UndecidedLPError",
     "constraints_from_assignment",
     "solve_feasibility",
     "verify_certificate",
@@ -108,6 +116,11 @@ class HeightCertificate:
 class VerifyResult:
     ok: bool
     min_slack: float
+
+
+class UndecidedLPError(RuntimeError):
+    """HiGHS ended an LP neither optimal nor infeasible, so the height
+    system it models is decided neither way."""
 
 
 def height_variable_map(d: Diagram,
@@ -178,25 +191,35 @@ def _row_entries(r: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return len(index), index, both[index]
 
 
-def _lp_model(A: np.ndarray, presolve: bool) -> _core._Highs:
+def _highs() -> ModuleType:
+    """scipy's HiGHS binding, imported by the first caller that builds a
+    model.  Each model or walk binds it once and passes it on, so no LP
+    runs an import statement."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def _lp_model(core: ModuleType, A: np.ndarray,
+              presolve: bool) -> _core._Highs:
     """The HiGHS model of ``A z >= 1``, solved by the dual simplex.
 
     Columns p, q >= 0 with z = p - q and cost sum(p + q); one row
     ``r . (p - q) >= 1`` per row r of A, in order.  Presolve pays for a
     model solved once; a model that grows and shrinks by rows between
     runs goes without, so each run starts from the basis of the last.
+    ``core`` is the binding, from :func:`_highs`.
     """
     n = A.shape[1]
-    model = _core._Highs()
+    model = core._Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("presolve", "on" if presolve else "off")
-    model.setOptionValue("simplex_strategy", _core.simplex_constants
+    model.setOptionValue("simplex_strategy", core.simplex_constants
                          .SimplexStrategy.kSimplexStrategyDual)
-    model.addVars(2 * n, np.zeros(2 * n), np.full(2 * n, _core.kHighsInf))
+    model.addVars(2 * n, np.zeros(2 * n), np.full(2 * n, core.kHighsInf))
     model.changeColsCost(2 * n, np.arange(2 * n, dtype=np.int32),
                          np.ones(2 * n))
     for r in A:
-        model.addRow(1.0, _core.kHighsInf, *_row_entries(r))
+        model.addRow(1.0, core.kHighsInf, *_row_entries(r))
     return model
 
 
@@ -208,18 +231,19 @@ class _NoHeights(enum.Enum):
     NO_MARGIN = "non-positive margin"  # some slack on A is not positive
 
 
-def _solve(model: _core._Highs,
+def _solve(core: ModuleType, model: _core._Highs,
            A: np.ndarray) -> tuple[np.ndarray, float] | _NoHeights:
     """Run the model of A's rows: its heights and their margin on A, or
     why there are none: the model is infeasible, or the heights fail
-    :func:`_accepted_margin` by their scale or by a slack."""
+    :func:`_accepted_margin` by their scale or by a slack.  Any other
+    status of the run raises :class:`UndecidedLPError`."""
     model.run()
     status = model.getModelStatus()
-    if status == _core.HighsModelStatus.kInfeasible:
+    if status == core.HighsModelStatus.kInfeasible:
         return _NoHeights.INFEASIBLE
-    if status != _core.HighsModelStatus.kOptimal:
-        raise RuntimeError("linear program did not converge: "
-                           + model.modelStatusToString(status))
+    if status != core.HighsModelStatus.kOptimal:
+        raise UndecidedLPError("linear program did not converge: "
+                               + model.modelStatusToString(status))
     x = np.array(model.getSolution().col_value)
     z = x[:A.shape[1]] - x[A.shape[1]:]
     margin = _accepted_margin(A, z)
@@ -255,7 +279,8 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     # fixes the summation order of A @ z.
     active = np.flatnonzero(np.any(sys.rows != 0.0, axis=0))
     A = np.ascontiguousarray(sys.rows[:, active])
-    solved = _solve(_lp_model(A, presolve=True), A)
+    core = _highs()
+    solved = _solve(core, _lp_model(core, A, presolve=True), A)
     if isinstance(solved, _NoHeights):
         return None
     return _certificate(sys.n_vars, active, *solved)
@@ -348,7 +373,8 @@ def feasible_assignments(d: Diagram,
     entries = [(_row_entries(-r), _row_entries(r)) for r in R]
     # the signed rows of the current path: S[:k + 1] is a cell's system
     S = R.copy()
-    model = _lp_model(R[:1], presolve=False)
+    core = _highs()
+    model = _lp_model(core, R[:1], presolve=False)
     # by crossing k and bit: a Gordan certificate's row mask over 0..k-1,
     # mapped to the paths' bits on it that it rules out
     ruled_out: list[tuple[dict[int, set[int]], ...]] = [
@@ -390,9 +416,9 @@ def feasible_assignments(d: Diagram,
                     bits & mask in seen
                     for mask, seen in ruled_out[k][bit].items()):
                 continue
-            model.addRow(1.0, _core.kHighsInf, *entries[k][bit])
+            model.addRow(1.0, core.kHighsInf, *entries[k][bit])
             if witness is None:
-                witness = _solve(model, A)
+                witness = _solve(core, model, A)
                 if witness is _NoHeights.INFEASIBLE:
                     rows = _gordan_rows(model, A)
                     if rows is not None:
@@ -405,7 +431,7 @@ def feasible_assignments(d: Diagram,
 
     z0 = R[0] / norms[0]
     m0 = _accepted_margin(R[:1], z0)
-    root = _solve(model, R[:1]) if m0 is None else (z0, m0)
+    root = _solve(core, model, R[:1]) if m0 is None else (z0, m0)
     if not isinstance(root, _NoHeights):
         descend(1, 1, *root)
     full = (1 << c) - 1

@@ -32,6 +32,12 @@ from stickknots.heights import (
 
 
 @pytest.fixture(scope="session")
+def heptagon_census():
+    """The 7-gon census, built once for every test that reads it."""
+    return search_ngon(7)
+
+
+@pytest.fixture(scope="session")
 def octagon_census():
     """The 8-gon census, built once for every test that reads it."""
     start = time.perf_counter()

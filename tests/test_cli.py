@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -10,8 +14,8 @@ import pytest
 from stickknots import cli
 from stickknots.cli import main
 from stickknots.codes import CrossingAssignment
-from stickknots.geometry import Diagram, InvalidParameterError, \
-    detect_crossings
+from stickknots.geometry import Diagram, InvalidParameterError, Ordering, \
+    VectorSet, detect_crossings, diagram_from_ordering
 from stickknots.heights import HeightCertificate
 from stickknots.render import render_svg
 
@@ -208,6 +212,71 @@ def test_classify_with_feasibility(capsys):
     assert rep["class"] == "figure_eight"
     assert rep["feasible"] is True
     assert rep["certificate"]["margin"] > 0
+
+
+def test_classify_an_undecided_lp_exits_2(tmp_path, capsys):
+    # a near-regular hexagon: each angle of the regular one moved by at
+    # most 1e-3, and the last two vectors solved to close the walk; HiGHS
+    # ends bits 47's LP with status Unknown
+    vectors = VectorSet.from_pairs([
+        (0.999999581913322, 0.0009144250548936407),
+        (0.4991891866563608, 0.8664930212790873),
+        (-0.5001881060554735, 0.8659167734607284),
+        (-0.9999999556671584, 0.0002977678311387445),
+        (0.4991361562164779, -0.8665235701107269),
+        (-0.49813686306352867, -0.8670984175151211)])
+    d = diagram_from_ordering(vectors, Ordering((0, 3, 4, 1, 5, 2)))
+    assert d.n_crossings == 7
+    assert not d.is_degenerate
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(d.to_json()))
+    assert main(["classify", "--input", str(path), "--assignment", "47",
+                 "--feasibility"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: linear program did not converge: Unknown\n")
+
+
+#: Runs each command line of its argument through ``cli.main`` in one
+#: process, and prints whether scipy was loaded after each import and
+#: each command, with the command's exit code.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+steps = []
+import stickknots
+steps.append(["import stickknots", "scipy" in sys.modules])
+import stickknots.cli
+steps.append(["import stickknots.cli", "scipy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = stickknots.cli.main(argv)
+    steps.append([" ".join(argv), "scipy" in sys.modules, code])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_at_the_first_lp():
+    # importing scipy.optimize for the HiGHS binding costs more than the
+    # rest of the start, so only a command that solves an LP may load it
+    render = ["render", "--n", "5", "--ordering", "0,3,1,4,2",
+              "--assignment", "alternating"]
+    classify = ["classify", "--n", "8", "--ordering", "0,2,4,7,1,6,3,5"]
+    feasibility = classify + ["--feasibility"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE,
+         json.dumps([render, classify, feasibility])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        ["import stickknots", False],
+        ["import stickknots.cli", False],
+        [" ".join(render), False, 0],
+        [" ".join(classify), False, 0],
+        [" ".join(feasibility), True, 0],
+    ]
 
 
 def test_classify_feasibility_without_crossings_writes_strict_json(capsys):

@@ -102,8 +102,9 @@ def test_infeasible_model_reports_a_gordan_ray():
     # {z0 - z1 > 0, z1 - z0 > 0} is infeasible; the model's dual ray is a
     # nonnegative combination of its rows that vanishes (Gordan)
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    model = heights._lp_model(A, presolve=False)
-    assert heights._solve(model, A) is heights._NoHeights.INFEASIBLE
+    core = heights._highs()
+    model = heights._lp_model(core, A, presolve=False)
+    assert heights._solve(core, model, A) is heights._NoHeights.INFEASIBLE
     _, has_ray, y = model.getDualRay()
     assert has_ray
     assert np.all(y >= 0.0) and np.any(y > 0.0)
@@ -114,15 +115,17 @@ def test_solve_reports_heights_beyond_the_scale_guard():
     # z0 >= 1e3, z1 >= 1e3 z0 and z2 >= 1e4 z1: feasible, but only with
     # heights of about 1e10
     A = np.array([[1e-3, 0.0, 0.0], [-1e3, 1.0, 0.0], [0.0, -1e4, 1.0]])
-    model = heights._lp_model(A, presolve=False)
-    assert heights._solve(model, A) is heights._NoHeights.SCALE_GUARD
+    core = heights._highs()
+    model = heights._lp_model(core, A, presolve=False)
+    assert heights._solve(core, model, A) is heights._NoHeights.SCALE_GUARD
 
 
 def test_solve_reports_heights_without_a_positive_margin():
     # the model's heights (1, 0) meet its own row; on the negated row that
     # the caller checks them against, their slack is -1
-    model = heights._lp_model(np.array([[1.0, 0.0]]), presolve=False)
-    assert (heights._solve(model, np.array([[-1.0, 0.0]]))
+    core = heights._highs()
+    model = heights._lp_model(core, np.array([[1.0, 0.0]]), presolve=False)
+    assert (heights._solve(core, model, np.array([[-1.0, 0.0]]))
             is heights._NoHeights.NO_MARGIN)
 
 
@@ -292,9 +295,9 @@ def _count_solves(monkeypatch) -> list[tuple[int, int]]:
     solve = heights._solve
     solves = []
 
-    def counting(model, A):
+    def counting(core, model, A):
         solves.append((model.getNumRow(), len(A)))
-        return solve(model, A)
+        return solve(core, model, A)
 
     monkeypatch.setattr(heights, "_solve", counting)
     return solves
