@@ -487,6 +487,11 @@ class KnotClass:
             return f"{self.kind}_{self.chirality}"
         return self.kind
 
+    def mirror(self) -> "KnotClass":
+        """The class of the mirror image: left and right swap."""
+        hand = {"left": "right", "right": "left"}.get(self.chirality)
+        return KnotClass(self.kind, hand, self.stick_number)
+
 
 _STICK_NUMBER = {
     "unknot": 3,
@@ -723,3 +728,12 @@ class BracketTable:
     def classify(self, a: CrossingAssignment) -> KnotClass:
         _check_assignment(self.diagram, a)
         return self._projection.label(a.bits)
+
+    def classify_bits(self, bits: int) -> KnotClass:
+        """:meth:`classify` of the assignment with these bits, as
+        :attr:`CrossingAssignment.bits` gives them."""
+        c = self.diagram.n_crossings
+        if not 0 <= bits < 1 << c:
+            raise InvalidParameterError(
+                f"assignment bits {bits} out of range for {c} crossings")
+        return self._projection.label(bits)

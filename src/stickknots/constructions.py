@@ -44,7 +44,7 @@ from .heights import (
     HeightCertificate,
     HeightSystem,
     constraints_from_assignment,
-    feasible_assignments,
+    feasible_cells,
     solve_feasibility,
     vertical_stick_augmentation,
 )
@@ -226,8 +226,10 @@ def verify_selection(n_range: Iterable[int],
         if alt is not None:
             table = BracketTable(d)
             proj_class = table.classify(alt).label
-            feasible_trefoil = any(table.classify(a).kind == "trefoil"
-                                   for a, _cert in feasible_assignments(d))
+            # a total flip mirrors the knot, and trefoils of either hand
+            # count: the walked half decides
+            feasible_trefoil = any(table.classify_bits(b).kind == "trefoil"
+                                   for b in feasible_cells(d)[0])
         checks = {
             "subwalk_crossings": pairs == ((0, 2), (0, 3), (1, 3))
                                  and d.n_crossings == 3,
@@ -550,8 +552,8 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
     unresolved degeneracies are recorded with the degenerate flag and
     skipped for classification.
 
-    n is capped at 10, though the 9- and 10-gon censuses take about 81 s
-    and 37 s on a 2-core host: the 11-gon census (83,435 classes) is worth
+    n is capped at 10, though the 9- and 10-gon censuses take about 33 s
+    and 19 s on a 2-core host: the 11-gon census (83,435 classes) is worth
     its cost only once the degenerate classes, recorded but not classified
     (11.7% of the 10-gon orderings), are classified too.
     """
@@ -567,12 +569,14 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
                 feasible=0, classes=(), degenerate=True,
                 merged_sticks=d.walk.n_edges, orbit=orbit))
             continue
-        feas = feasible_assignments(d)
         table = BracketTable(d)
-        labels = sorted(table.classify(a).label for a, _ in feas)
+        kinds = [table.classify_bits(b) for b in feasible_cells(d)[0]]
+        if d.n_crossings:  # each walked cell's total flip: its mirror image
+            kinds += [k.mirror() for k in kinds]
+        labels = sorted(k.label for k in kinds)
         records.append(CatalogRecord(
             n=n, ordering=ordering.perm, crossings=d.n_crossings,
-            feasible=len(feas), classes=tuple(labels), degenerate=False,
+            feasible=len(labels), classes=tuple(labels), degenerate=False,
             merged_sticks=merge_crossingless_runs(d, eps), orbit=orbit))
     return SearchCatalog(n=n, symmetry_reduce=symmetry_reduce, eps=eps,
                          records=tuple(records))

@@ -16,18 +16,19 @@ start, and rendering or classifying a diagram solves nothing.
 
 Flipping a crossing negates its row, so the feasible assignments of one
 diagram are the cells of a central hyperplane arrangement, one hyperplane
-per crossing.  :func:`feasible_assignments` walks the tree of those cells
-depth first, one crossing per level, in the manner of reverse search
-(Avis & Fukuda, 1996).  One model per diagram holds the rows of the
-current path, and most children need no LP.  A ratio test moves the
-parent's witness heights along the child's row, halfway from where that
-row turns positive to where a parent row would stop being positive,
-which decides most feasible children.  An LP that ends infeasible leaves
-a Gordan certificate, a nonnegative combination of rows that vanishes
+per crossing.  :func:`feasible_cells` walks the tree of those cells one
+crossing per level, in the manner of reverse search (Avis & Fukuda,
+1996), with the whole level's witness heights in one matrix.  A ratio
+test, run on that matrix in array expressions, moves each parent's
+witness along the child's row, halfway from where that row turns
+positive to where a parent row would stop being positive, and decides
+most feasible children without an LP.  The rest go one by one to one
+warm-started model per diagram.  An LP that ends infeasible leaves a
+Gordan certificate, a nonnegative combination of rows that vanishes
 (HiGHS's dual ray), and the certificate rules out every later child that
-holds the same signed rows.  The remaining children are solved,
-warm-started from the last basis.  Its cost follows the number of
-feasible assignments rather than 2^c.
+holds the same signed rows.  Its cost follows the number of feasible
+assignments rather than 2^c.  The walk covers the half with crossing 0's
+``edge_a`` over; :func:`feasible_assignments` adds the total flips.
 :func:`solve_feasibility` answers a single system with a fresh model.
 """
 
@@ -57,6 +58,7 @@ __all__ = [
     "solve_feasibility",
     "verify_certificate",
     "feasible_assignments",
+    "feasible_cells",
     "vertical_stick_augmentation",
     "height_variable_map",
 ]
@@ -172,15 +174,14 @@ def constraints_from_assignment(d: Diagram, a: CrossingAssignment,
     return HeightSystem(rows)
 
 
-def _accepted_margin(A: np.ndarray, z: np.ndarray) -> Optional[float]:
-    """The smallest slack of heights z on the rows of A, or None unless the
-    heights pass as a certificate: every |z_i| within
-    MAX_CERTIFICATE_SCALE and every slack strictly positive."""
-    if float(np.max(np.abs(z), initial=0.0)) > MAX_CERTIFICATE_SCALE:
-        return None
-    margin = float(np.min(A @ z))
-    # Numerical safety net; HiGHS guarantees >= 1 - tiny for its solutions.
-    return margin if margin > 0.0 else None
+def _accepted_margin(z: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+    """The smallest of the slacks of heights z where the heights pass as a
+    certificate, and 0.0 where they do not: every |z_i| within
+    MAX_CERTIFICATE_SCALE and every slack strictly positive.  z may hold
+    one set of heights per row, with their slacks row by row."""
+    margin = slacks.min(axis=-1)
+    passes = abs(z).max(axis=-1, initial=0.0) <= MAX_CERTIFICATE_SCALE
+    return np.where(passes & (margin > 0.0), margin, 0.0)
 
 
 def _row_entries(r: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -246,20 +247,18 @@ def _solve(core: ModuleType, model: _core._Highs,
                                + model.modelStatusToString(status))
     x = np.array(model.getSolution().col_value)
     z = x[:A.shape[1]] - x[A.shape[1]:]
-    margin = _accepted_margin(A, z)
-    if margin is not None:
+    # Numerical safety net; HiGHS guarantees slacks >= 1 - tiny.
+    margin = float(_accepted_margin(z, A @ z))
+    if margin > 0.0:
         return z, margin
     if float(np.max(np.abs(z))) > MAX_CERTIFICATE_SCALE:
         return _NoHeights.SCALE_GUARD
     return _NoHeights.NO_MARGIN
 
 
-def _certificate(n_vars: int, active: np.ndarray, z_active: np.ndarray,
-                 margin: float) -> HeightCertificate:
-    """Heights z_active on the active variables, zero on the rest."""
-    z = np.zeros(n_vars)
-    z[active] = z_active
-    return HeightCertificate(z=tuple(float(x) for x in z), margin=margin)
+def _certificate(z: np.ndarray, margin: float) -> HeightCertificate:
+    return HeightCertificate(z=tuple(float(x) for x in z),
+                             margin=float(margin))
 
 
 def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
@@ -270,7 +269,7 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     fresh HiGHS model (:func:`_lp_model`, presolve on, dual simplex) over
     the split z = p - q, minimizing sum(p + q) for a deterministic, small
     certificate.  For a whole diagram's assignments,
-    :func:`feasible_assignments` reuses one model instead.
+    :func:`feasible_cells` reuses one model instead.
     """
     if not len(sys.rows):
         return HeightCertificate(z=(0.0,) * sys.n_vars, margin=math.inf)
@@ -283,7 +282,9 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     solved = _solve(core, _lp_model(core, A, presolve=True), A)
     if isinstance(solved, _NoHeights):
         return None
-    return _certificate(sys.n_vars, active, *solved)
+    z = np.zeros(sys.n_vars)
+    z[active] = solved[0]
+    return _certificate(z, solved[1])
 
 
 def verify_certificate(sys: HeightSystem,
@@ -323,123 +324,133 @@ def _gordan_rows(model: _core._Highs, A: np.ndarray) -> Optional[np.ndarray]:
     return rows
 
 
-def feasible_assignments(d: Diagram,
-                         split_vertices: frozenset[int] = frozenset()
-                         ) -> list[tuple[CrossingAssignment, HeightCertificate]]:
-    """All over/under assignments realizable by heights, with certificates.
+def feasible_cells(d: Diagram,
+                   split_vertices: frozenset[int] = frozenset()
+                   ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The feasible assignments with crossing 0's ``edge_a`` over: their
+    bits, witness heights (one row each, one column per height variable)
+    and margins.  The other half are their total flips, with negated
+    heights; a diagram without crossings has its one cell.
 
     Flipping crossing k negates row r_k of the system with every ``edge_a``
     over, so the feasible assignments are the cells of the central
     arrangement {r_k . z = 0}.  A cell on crossings 0..k-1 has two children,
     one on each side of r_k . z = 0, and the cells form a tree that is
-    walked depth first over one HiGHS model (:func:`_lp_model`, presolve
-    off) holding the signed rows of the current path: entering a child
-    adds its row, leaving it deletes the row.  Each cell keeps witness
-    heights z with margin about 1, and a child is decided in the first of
-    three ways that applies.
+    walked one crossing per level: level k holds the witness heights of
+    every cell on crossings 0..k-1, margin about 1, as one matrix, and a
+    child is decided in the first of three ways that applies.
 
-    - A ratio test.  Moving the parent's witness along s r_k (s = +-1 for
-      the child's side) changes the parent's slacks by t s (S r_k) and the
-      new row's by t |r_k|^2.  The new row turns positive past
+    - A ratio test, run for the whole level in array expressions.  Moving
+      the parent's witness along s r_k (s = +-1 for the child's side)
+      changes the parent's slacks by t s (S r_k) and the new row's by
+      t |r_k|^2.  The new row turns positive past
       t0 = max(0, -s r_k.z / |r_k|^2), and the parent's rows stay positive
       below the least slack_j / -s (S r_k)_j over the rows that shrink.
       When t0 lies below that limit, the midpoint step, rescaled to margin
       1, is the child's witness if it passes :func:`_accepted_margin`, the
-      same acceptance as :func:`solve_feasibility`'s.  The root starts
-      from r_0 / |r_0|^2.
-    - A reused certificate.  When a child's LP ends infeasible, the dual
-      ray of its model is a Gordan certificate on some of its rows J
+      same acceptance as :func:`solve_feasibility`'s.  The root is the
+      empty cell at z = 0, whose step is r_0 / |r_0|^2.
+    - A reused certificate.  The children left open are taken in order of
+      their parents, side -1 first.  When a child's LP ends infeasible, the
+      dual ray of its model is a Gordan certificate on some of its rows J
       (:func:`_gordan_rows`).  A later child on the same side of the same
       r_k whose path agrees with it on J holds the same signed rows, so the
       same certificate rules it out, and the model is not touched.
-    - Otherwise the child's row is added and the model is run again,
-      warm-started from the basis of its last run, so each LP costs a few
-      pivots.
-
-    Crossing 0 is fixed with ``edge_a`` over, and the total flips are the
-    antipodal cells, with exactly negated heights.  Results are in
-    ascending bits.
+    - Otherwise one HiGHS model per diagram (:func:`_lp_model`, presolve
+      off) is brought to the child's signed rows, deleting the rows from
+      where its path first differs and adding the child's, and run again,
+      warm-started from the basis of its last run.
     """
-    d.require_clean()
     c = d.n_crossings
     base = constraints_from_assignment(
         d, CrossingAssignment((True,) * c), split_vertices)
-    if c == 0:
-        return [(CrossingAssignment(()), solve_feasibility(base))]
     active = np.flatnonzero(np.any(base.rows != 0.0, axis=0))
     R = np.ascontiguousarray(base.rows[:, active])
-    norms = [float(r @ r) for r in R]
-    # addRow arguments of each crossing's row, by bit: 0 negates it
-    entries = [(_row_entries(-r), _row_entries(r)) for r in R]
-    # the signed rows of the current path: S[:k + 1] is a cell's system
-    S = R.copy()
-    core = _highs()
-    model = _lp_model(core, R[:1], presolve=False)
-    # by crossing k and bit: a Gordan certificate's row mask over 0..k-1,
-    # mapped to the paths' bits on it that it rules out
-    ruled_out: list[tuple[dict[int, set[int]], ...]] = [
-        ({}, {}) for _ in range(c)]
-    cells = []  # (bits, witness heights, margin) of the full cells found
-
-    def descend(k: int, bits: int, z: np.ndarray, margin: float) -> None:
-        if k == c:
-            cells.append((bits, z, margin))
-            return
-        r, rr = R[k], norms[k]
-        slack = S[:k] @ z
-        g = S[:k] @ r
-        v = float(r @ z)
-        # a step t along -r_k (bit 0) keeps row j positive below
-        # slack_j / g_j where g_j > 0, and along +r_k (bit 1) below
-        # slack_j / -g_j where g_j < 0
-        rate = g / slack
-        fall, rise = float(rate.max(initial=0.0)), float(rate.min(initial=0.0))
-        limits = (1.0 / fall if fall > 0.0 else math.inf,
-                  -1.0 / rise if rise < 0.0 else math.inf)
-        for bit in (0, 1):
-            sign = 2.0 * bit - 1.0
-            np.multiply(r, sign, out=S[k])
-            A = S[:k + 1]
-            t0, t_max = max(0.0, -sign * v / rr), limits[bit]
-            witness = None
-            if t0 < t_max:
-                # with no parent row shrinking, go one unit of slack past t0
-                t = t0 + 1.0 / rr if t_max == math.inf else 0.5 * (t0 + t_max)
-                low = min(float((slack + sign * t * g).min()),
-                          sign * v + t * rr)
-                if low > 0.0:
-                    w = (z + sign * t * r) / low
-                    m = _accepted_margin(A, w)
-                    if m is not None:
-                        witness = (w, m)
-            if witness is None and any(
-                    bits & mask in seen
-                    for mask, seen in ruled_out[k][bit].items()):
+    G = R @ R.T  # G[k, j] = r_k . r_j
+    model = None  # built at the first LP; most small diagrams need none
+    # the level: each cell's bits, witness heights, margin and row signs
+    bits, Z, M = [0], np.zeros((1, len(active))), [math.inf]
+    S = np.ones((1, c), np.int8)
+    for k in range(c):
+        rr, Rk = G[k, k], R[:k + 1]
+        # child 2i + b of cell i lies on side s = 2b - 1 of r_k; crossing
+        # 0 is walked on side +1 only
+        child = np.arange(0 if k else 1, 2 * len(Z))
+        Z, S = Z[child >> 1], S[child >> 1]
+        S[:, k] = sign = np.where(child & 1, 1.0, -1.0)
+        Sk = S[:, :k + 1]
+        # the child's slacks at the parent's witness, and how fast each
+        # falls along s r_k: row j < k at -s (S r_k)_j, row k at -|r_k|^2
+        slack = Z @ Rk.T * Sk
+        fall = Sk * -sign[:, None] * G[k, :k + 1]
+        # row j < k stays positive up to a step of slack_j / fall_j
+        rate = (fall[:, :k] / slack[:, :k]).max(axis=1, initial=0.0)
+        t_max = np.divide(1.0, rate, out=np.full(len(Z), math.inf),
+                          where=rate > 0.0)
+        t0 = np.maximum(0.0, -slack[:, k] / rr)
+        # with no parent row falling, go one unit of slack past t0
+        t = np.where(t_max == math.inf, t0 + 1.0 / rr, 0.5 * (t0 + t_max))
+        low = (slack - t[:, None] * fall).min(axis=1)
+        step = (t0 < t_max) & (low > 0.0)
+        # the step, rescaled to margin about 1; children without one are
+        # left to the LP below
+        Z = (Z + (sign * t)[:, None] * R[k]) / np.where(
+            step, low, 1.0)[:, None]
+        M = _accepted_margin(Z, Z @ Rk.T * Sk)
+        found = step & (M > 0.0)
+        # by bit: a Gordan certificate's row mask over crossings 0..k-1,
+        # mapped to the paths' bits on it that it rules out
+        ruled_out: tuple[dict[int, set[int]], ...] = ({}, {})
+        for i in np.flatnonzero(~found).tolist():
+            bit = int(child[i]) & 1
+            path = bits[child[i] >> 1] | bit << k
+            if any(path & mask in seen
+                   for mask, seen in ruled_out[bit].items()):
                 continue
-            model.addRow(1.0, core.kHighsInf, *entries[k][bit])
-            if witness is None:
-                witness = _solve(core, model, A)
-                if witness is _NoHeights.INFEASIBLE:
-                    rows = _gordan_rows(model, A)
-                    if rows is not None:
-                        mask = sum(1 << int(j) for j in rows[:-1])
-                        ruled_out[k][bit].setdefault(mask, set()).add(
-                            bits & mask)
-            if not isinstance(witness, _NoHeights):
-                descend(k + 1, bits | bit << k, *witness)
-            model.deleteRows(1, np.array([k], dtype=np.int32))
+            if model is None:
+                core = _highs()
+                model = _lp_model(core, R[:0], presolve=False)
+                held, held_len = 0, 0  # the path whose rows the model holds
+                # addRow arguments of each crossing's row, by bit: 0 negates it
+                entries = [(_row_entries(-r), _row_entries(r)) for r in R]
+            diff = (held ^ path) & ((1 << held_len) - 1)
+            keep = (diff & -diff).bit_length() - 1 if diff else held_len
+            if keep < held_len:
+                model.deleteRows(held_len - keep, np.arange(
+                    keep, held_len, dtype=np.int32))
+            for j in range(keep, k + 1):
+                model.addRow(1.0, core.kHighsInf, *entries[j][path >> j & 1])
+            held, held_len = path, k + 1
+            A = Rk * S[i, :k + 1, None]
+            solved = _solve(core, model, A)
+            if solved is _NoHeights.INFEASIBLE:
+                rows = _gordan_rows(model, A)
+                if rows is not None:
+                    mask = sum(1 << int(j) for j in rows[:-1])
+                    ruled_out[bit].setdefault(mask, set()).add(path & mask)
+            elif not isinstance(solved, _NoHeights):
+                Z[i], M[i], found[i] = solved[0], solved[1], True
+        Z, M, S, child = Z[found], M[found], S[found], child[found]
+        bits = [bits[i >> 1] | (i & 1) << k for i in child.tolist()]
+    heights = np.zeros((len(bits), base.n_vars))
+    heights[:, active] = Z
+    return bits, heights, np.asarray(M, dtype=float)
 
-    z0 = R[0] / norms[0]
-    m0 = _accepted_margin(R[:1], z0)
-    root = _solve(core, model, R[:1]) if m0 is None else (z0, m0)
-    if not isinstance(root, _NoHeights):
-        descend(1, 1, *root)
-    full = (1 << c) - 1
-    found = sorted(cells + [(full ^ bits, -z, m) for bits, z, m in cells],
-                   key=lambda cell: cell[0])
-    return [(CrossingAssignment.from_bits(c, bits),
-             _certificate(base.n_vars, active, z, m))
-            for bits, z, m in found]
+
+def feasible_assignments(d: Diagram,
+                         split_vertices: frozenset[int] = frozenset()
+                         ) -> list[tuple[CrossingAssignment, HeightCertificate]]:
+    """All over/under assignments realizable by heights, with certificates:
+    the cells :func:`feasible_cells` walks and their total flips, whose
+    heights are exactly negated, in ascending bits."""
+    bits, Z, M = feasible_cells(d, split_vertices)
+    c = d.n_crossings
+    if c:
+        bits += [((1 << c) - 1) ^ b for b in bits]
+        Z, M = np.vstack((Z, 0.0 - Z)), np.concatenate((M, M))
+    return [(CrossingAssignment.from_bits(c, bits[i]),
+             _certificate(Z[i], M[i]))
+            for i in sorted(range(len(bits)), key=bits.__getitem__)]
 
 
 def vertical_stick_augmentation(d: Diagram, vertices: frozenset[int]) -> int:

@@ -19,10 +19,12 @@ from stickknots.geometry import (
     DegenerateContact,
     Diagram,
     InvalidParameterError,
+    Ordering,
     Transversal,
     Vec2,
     VectorSet,
     Walk,
+    diagram_from_ordering,
 )
 from stickknots.heights import (
     HeightSystem,
@@ -429,3 +431,21 @@ def vector_set_from_integer_vertices(vertices) -> VectorSet:
         (float(vertices[(i + 1) % m][0] - vertices[i][0]),
          float(vertices[(i + 1) % m][1] - vertices[i][1]))
         for i in range(m))
+
+
+def near_regular_hexagon() -> Diagram:
+    """A clean 7-crossing diagram on which HiGHS leaves LPs undecided.
+
+    The regular hexagon's vectors with each angle moved by at most 1e-3,
+    and the last two vectors solved to close the walk, in the ordering
+    (0, 3, 4, 1, 5, 2).  A fresh model of the system of bits 47, or of its
+    total flip 80, ends with HiGHS status Unknown.
+    """
+    vectors = VectorSet.from_pairs([
+        (0.999999581913322, 0.0009144250548936407),
+        (0.4991891866563608, 0.8664930212790873),
+        (-0.5001881060554735, 0.8659167734607284),
+        (-0.9999999556671584, 0.0002977678311387445),
+        (0.4991361562164779, -0.8665235701107269),
+        (-0.49813686306352867, -0.8670984175151211)])
+    return diagram_from_ordering(vectors, Ordering((0, 3, 4, 1, 5, 2)))

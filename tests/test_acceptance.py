@@ -63,6 +63,7 @@ from stickknots.constructions import (
     exhaustive_6gon_check,
     figure_eight_8gon,
     pentagram_5_1,
+    search_ngon,
     trefoil_reference_system,
     trefoil_selection,
     verify_selection,
@@ -279,6 +280,29 @@ def test_07_companion_octagram_cinquefoil_counterexample(octagon_census):
     assert cinq, "census records must report the cinquefoil classes"
     assert star == [] or any(
         label.startswith("cinquefoil") for r in star for label in r.classes)
+
+
+#: Each kind of knot the censuses label: the least n of the regular n-gon
+#: whose census has it (from n = 6, the first n that can knot), and the
+#: first class representative there that carries it.
+FIRST_APPEARANCE = {
+    "unknot": (6, (0, 1, 2, 3, 4, 5)),
+    "trefoil": (7, (0, 1, 4, 5, 2, 6, 3)),
+    "figure_eight": (7, HEPTAGRAM.perm),
+    "cinquefoil": (8, OCTAGRAM.perm),
+    "three_twist": (8, OCTAGRAM.perm),
+    "other": (8, OCTAGRAM.perm),
+}
+
+
+def test_07_first_appearance_of_each_knot(heptagon_census, octagon_census):
+    first = {}
+    for catalog in (search_ngon(6), heptagon_census, octagon_census):
+        for r in catalog.records:
+            for label in r.classes:
+                kind = label.removesuffix("_left").removesuffix("_right")
+                first.setdefault(kind, (catalog.n, r.ordering))
+    assert first == FIRST_APPEARANCE
 
 
 @pytest.mark.xfail(

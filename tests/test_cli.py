@@ -14,12 +14,12 @@ import pytest
 from stickknots import cli
 from stickknots.cli import main
 from stickknots.codes import CrossingAssignment
-from stickknots.geometry import Diagram, InvalidParameterError, Ordering, \
-    VectorSet, detect_crossings, diagram_from_ordering
+from stickknots.geometry import Diagram, InvalidParameterError, \
+    detect_crossings
 from stickknots.heights import HeightCertificate
 from stickknots.render import render_svg
 
-from conftest import walk_from_integer_vertices
+from conftest import near_regular_hexagon, walk_from_integer_vertices
 
 
 def run(capsys, *argv):
@@ -215,17 +215,8 @@ def test_classify_with_feasibility(capsys):
 
 
 def test_classify_an_undecided_lp_exits_2(tmp_path, capsys):
-    # a near-regular hexagon: each angle of the regular one moved by at
-    # most 1e-3, and the last two vectors solved to close the walk; HiGHS
-    # ends bits 47's LP with status Unknown
-    vectors = VectorSet.from_pairs([
-        (0.999999581913322, 0.0009144250548936407),
-        (0.4991891866563608, 0.8664930212790873),
-        (-0.5001881060554735, 0.8659167734607284),
-        (-0.9999999556671584, 0.0002977678311387445),
-        (0.4991361562164779, -0.8665235701107269),
-        (-0.49813686306352867, -0.8670984175151211)])
-    d = diagram_from_ordering(vectors, Ordering((0, 3, 4, 1, 5, 2)))
+    # HiGHS ends bits 47's LP on this diagram with status Unknown
+    d = near_regular_hexagon()
     assert d.n_crossings == 7
     assert not d.is_degenerate
     path = tmp_path / "hexagon.json"

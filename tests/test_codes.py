@@ -646,6 +646,29 @@ def test_unrecognized_jones_polynomials_share_one_class():
     assert (granny.label, granny.stick_number) == ("other", None)
 
 
+def test_mirror_of_each_reference_class_is_its_mirrored_jones_class():
+    # the census gives a walked cell's total flip the mirror of its label,
+    # which holds because the reference table is closed under mirroring
+    reference = codes._reference_jones()
+    for key, k in reference.items():
+        assert reference[LaurentPoly(dict(key)).mirror().key()] == k.mirror()
+        assert k.mirror().mirror() == k
+    assert {k.mirror().label for k in reference.values()} == {
+        k.label for k in reference.values()}
+    assert codes.OTHER.mirror() == codes.OTHER
+
+
+def test_table_classifies_bits_as_their_assignment():
+    d = _diagram(8, OCTAGRAM)
+    table = BracketTable(d)
+    for bits in random.Random(22).sample(range(1 << 16), 20):
+        assert table.classify_bits(bits) == table.classify(
+            CrossingAssignment.from_bits(16, bits))
+    for bits in (-1, 1 << 16):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            table.classify_bits(bits)
+
+
 def test_alternating_assignment_existence():
     assert alternating_assignment(_diagram(5, PENTAGRAM)) is not None
     assert alternating_assignment(_diagram(8, OCTAGRAM)) is not None

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from stickknots import constructions
+from stickknots import constructions, heights
 from stickknots.geometry import (
     EPS_DEFAULT,
     InvalidParameterError,
@@ -16,11 +17,16 @@ from stickknots.geometry import (
     regular_ngon,
 )
 from stickknots.codes import (
+    BracketTable,
     alternating_assignment,
     classify,
     merge_crossingless_runs,
 )
-from stickknots.heights import constraints_from_assignment, verify_certificate
+from stickknots.heights import (
+    constraints_from_assignment,
+    feasible_assignments,
+    verify_certificate,
+)
 from stickknots.constructions import (
     PENTAGRAM_ORDERING,
     SEVEN_GON_FEASIBLE_TREFOIL_ORDERING,
@@ -260,3 +266,45 @@ def test_census_catalog_round_trip(tmp_path):
 def test_census_rejects_large_n():
     with pytest.raises(InvalidParameterError):
         search_ngon(11)
+
+
+def test_census_and_selection_build_no_certificates(monkeypatch):
+    # both read the bits of the walked half and keep no heights
+    built = []
+    certificate = heights._certificate
+
+    def spy(z, margin):
+        built.append(margin)
+        return certificate(z, margin)
+
+    monkeypatch.setattr(heights, "_certificate", spy)
+    search_ngon(7)
+    verify_selection(range(7, 31))
+    assert built == []
+    d = diagram_from_ordering(regular_ngon(7),
+                              SEVEN_GON_FEASIBLE_TREFOIL_ORDERING)
+    feas = feasible_assignments(d)
+    assert len(built) == len(feas) > 0  # the spy sees every certificate
+
+
+def test_census_labels_equal_the_labels_of_every_assignment(
+        heptagon_census, octagon_census):
+    # the census labels the walked half and gives each total flip the
+    # mirror of its cell's label; labelling every feasible assignment
+    # must give the same classes
+    octagram = (0, 3, 6, 1, 4, 7, 2, 5)
+    clean8 = [r for r in octagon_census.records if not r.degenerate]
+    records = [r for r in heptagon_census.records if not r.degenerate]
+    records += [r for r in clean8 if r.ordering == octagram]
+    records += random.Random(22).sample(clean8, 40)
+    assert len(records) == 36 + 1 + 40
+    chiral = 0
+    for r in records:
+        d = diagram_from_ordering(regular_ngon(r.n), Ordering(r.ordering))
+        table = BracketTable(d)
+        feas = feasible_assignments(d)
+        assert r.feasible == len(feas)
+        assert r.classes == tuple(sorted(
+            table.classify(a).label for a, _ in feas)), r.ordering
+        chiral += any(label.endswith("_left") for label in r.classes)
+    assert chiral > 5

@@ -16,6 +16,7 @@ from stickknots import heights
 from stickknots.heights import (
     HeightCertificate,
     HeightSystem,
+    UndecidedLPError,
     constraints_from_assignment,
     feasible_assignments,
     height_variable_map,
@@ -32,6 +33,7 @@ from stickknots.constructions import (
 from conftest import (
     brute_feasible_assignments,
     fm_feasible,
+    near_regular_hexagon,
     random_integer_walk,
     walk_from_integer_vertices,
 )
@@ -366,6 +368,45 @@ def test_feasible_assignments_equal_brute_force_on_integer_walks(
         reused += with_certificates < len(solves)
         checked += 1
     assert reused >= 1
+
+
+def test_walk_on_a_near_regular_hexagon_reports_only_certified_cells():
+    # a fresh model of bits 47, and of its total flip 80, ends with status
+    # Unknown; the walk does not raise, and returns the 40 cells that fresh
+    # models decide feasible, each with a verified certificate
+    d = near_regular_hexagon()
+    decided, undecided = [], []
+    for bits in range(1 << d.n_crossings):
+        system = constraints_from_assignment(
+            d, CrossingAssignment.from_bits(d.n_crossings, bits))
+        try:
+            if solve_feasibility(system) is not None:
+                decided.append(bits)
+        except UndecidedLPError:
+            undecided.append(bits)
+            # exactly feasible on the float rows, though the walk, like
+            # scipy's linprog, finds no heights: a float verdict on a
+            # system at the boundary of feasibility
+            assert fm_feasible(system)
+    assert undecided == [47, 80]
+    feas = feasible_assignments(d)
+    assert [a.bits for a, _ in feas] == decided
+    assert len(decided) == 40
+    _assert_certified(d, feas)
+
+
+def test_walked_half_is_the_half_with_crossing_0_over():
+    d = diagram_from_ordering(regular_ngon(7), HEPTAGRAM_7_3)
+    bits, z, margin = heights.feasible_cells(d)
+    feas = feasible_assignments(d)
+    assert sorted(bits) == [a.bits for a, _ in feas if a.bits & 1]
+    assert len(feas) == 2 * len(bits) == 490
+    assert z.shape == (len(bits), d.walk.n_edges)
+    for b, heights_b, m in zip(bits, z, margin):
+        system = constraints_from_assignment(
+            d, CrossingAssignment.from_bits(d.n_crossings, b))
+        assert min(system.slacks(heights_b)) == pytest.approx(m)
+        assert m > 0.0
 
 
 def _assert_rows_are_signed_base_rows(d, assignments, split_vertices):
