@@ -121,7 +121,7 @@ def selection_params(n: int) -> SelectionParams:
 
 def trefoil_selection(n: int) -> Ordering:
     """Pick vectors 0, X, 2X, 3X (mod n), X = floor(n/3) + 1, then append the
-    rest by ascending polar angle.
+    rest by ascending index, which is ascending polar angle.
 
     The first four vectors turn by slightly more than 120 degrees each,
     tracing a 3-crossing pretzel; the appended convex tail closes the walk
@@ -131,8 +131,7 @@ def trefoil_selection(n: int) -> Ordering:
     first = [(k * p.X) % n for k in range(4)]
     if len(set(first)) != 4:
         raise InvalidParameterError(f"selected indices collide for n={n}")
-    rest = sorted((i for i in range(n) if i not in first),
-                  key=lambda i: 2.0 * math.pi * i / n)
+    rest = [i for i in range(n) if i not in first]
     return Ordering(tuple(first + rest))
 
 
@@ -552,8 +551,8 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
     unresolved degeneracies are recorded with the degenerate flag and
     skipped for classification.
 
-    n is capped at 10, though the 9- and 10-gon censuses take about 33 s
-    and 19 s on a 2-core host: the 11-gon census (83,435 classes) is worth
+    n is capped at 10, though the 9- and 10-gon censuses take about 35 s
+    and 20 s on a 2-core host: the 11-gon census (83,435 classes) is worth
     its cost only once the degenerate classes, recorded but not classified
     (11.7% of the 10-gon orderings), are classified too.
     """

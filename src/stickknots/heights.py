@@ -200,20 +200,18 @@ def _highs() -> ModuleType:
     return _core
 
 
-def _lp_model(core: ModuleType, A: np.ndarray,
-              presolve: bool) -> _core._Highs:
+def _lp_model(core: ModuleType, A: np.ndarray) -> _core._Highs:
     """The HiGHS model of ``A z >= 1``, solved by the dual simplex.
 
     Columns p, q >= 0 with z = p - q and cost sum(p + q); one row
-    ``r . (p - q) >= 1`` per row r of A, in order.  Presolve pays for a
-    model solved once; a model that grows and shrinks by rows between
-    runs goes without, so each run starts from the basis of the last.
+    ``r . (p - q) >= 1`` per row r of A, in order.  HiGHS reduces the LP
+    before a run only when the model holds no basis, so a model solved
+    once and one that changes rows between warm runs share one setting.
     ``core`` is the binding, from :func:`_highs`.
     """
     n = A.shape[1]
     model = core._Highs()
     model.setOptionValue("output_flag", False)
-    model.setOptionValue("presolve", "on" if presolve else "off")
     model.setOptionValue("simplex_strategy", core.simplex_constants
                          .SimplexStrategy.kSimplexStrategyDual)
     model.addVars(2 * n, np.zeros(2 * n), np.full(2 * n, core.kHighsInf))
@@ -266,9 +264,9 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
 
     Homogeneity makes strictness exact: the system has a solution with all
     slacks > 0 iff it has one with all slacks >= 1.  The latter is one
-    fresh HiGHS model (:func:`_lp_model`, presolve on, dual simplex) over
-    the split z = p - q, minimizing sum(p + q) for a deterministic, small
-    certificate.  For a whole diagram's assignments,
+    fresh HiGHS model (:func:`_lp_model`, reduced as it has no basis)
+    over the split z = p - q, minimizing sum(p + q) for a deterministic,
+    small certificate.  For a whole diagram's assignments,
     :func:`feasible_cells` reuses one model instead.
     """
     if not len(sys.rows):
@@ -279,7 +277,7 @@ def solve_feasibility(sys: HeightSystem) -> Optional[HeightCertificate]:
     active = np.flatnonzero(np.any(sys.rows != 0.0, axis=0))
     A = np.ascontiguousarray(sys.rows[:, active])
     core = _highs()
-    solved = _solve(core, _lp_model(core, A, presolve=True), A)
+    solved = _solve(core, _lp_model(core, A), A)
     if isinstance(solved, _NoHeights):
         return None
     z = np.zeros(sys.n_vars)
@@ -356,10 +354,10 @@ def feasible_cells(d: Diagram,
       (:func:`_gordan_rows`).  A later child on the same side of the same
       r_k whose path agrees with it on J holds the same signed rows, so the
       same certificate rules it out, and the model is not touched.
-    - Otherwise one HiGHS model per diagram (:func:`_lp_model`, presolve
-      off) is brought to the child's signed rows, deleting the rows from
-      where its path first differs and adding the child's, and run again,
-      warm-started from the basis of its last run.
+    - Otherwise one HiGHS model per diagram (:func:`_lp_model`) is
+      brought to the child's signed rows, deleting the rows from where its
+      path first differs and adding the child's, and run again from the
+      basis of its last run; HiGHS reduces only the first run's LP.
     """
     c = d.n_crossings
     base = constraints_from_assignment(
@@ -409,7 +407,7 @@ def feasible_cells(d: Diagram,
                 continue
             if model is None:
                 core = _highs()
-                model = _lp_model(core, R[:0], presolve=False)
+                model = _lp_model(core, R[:0])
                 held, held_len = 0, 0  # the path whose rows the model holds
                 # addRow arguments of each crossing's row, by bit: 0 negates it
                 entries = [(_row_entries(-r), _row_entries(r)) for r in R]

@@ -116,6 +116,17 @@ def fm_feasible(system: HeightSystem) -> bool:
     return not rows
 
 
+def exact_slacks(system: HeightSystem, z) -> list[Fraction]:
+    """The slacks of heights z on the system's rows, in exact rationals.
+
+    The float rows and heights are binary rationals, so the slacks carry
+    no rounding.
+    """
+    zs = [Fraction(h) for h in z]
+    return [sum(Fraction(float(w)) * h for w, h in zip(row, zs))
+            for row in system.rows]
+
+
 # ---------------------------------------------------------------------------
 # Brute-force feasible assignments: one LP per assignment, in ascending bits.
 # The reference for the cell enumeration in heights.feasible_assignments.

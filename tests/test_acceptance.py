@@ -71,6 +71,7 @@ from stickknots.constructions import (
 from stickknots.triple import classify_triple_plus_one
 
 from conftest import (
+    exact_slacks,
     exact_walk_events,
     fm_feasible,
     random_integer_walk,
@@ -284,15 +285,20 @@ def test_07_companion_octagram_cinquefoil_counterexample(octagon_census):
 
 #: Each kind of knot the censuses label: the least n of the regular n-gon
 #: whose census has it (from n = 6, the first n that can knot), and the
-#: first class representative there that carries it.
+#: first class representative there that carries it; then how many of that
+#: class's feasible assignments carry it, and the smallest of their bits.
 FIRST_APPEARANCE = {
-    "unknot": (6, (0, 1, 2, 3, 4, 5)),
-    "trefoil": (7, (0, 1, 4, 5, 2, 6, 3)),
-    "figure_eight": (7, HEPTAGRAM.perm),
-    "cinquefoil": (8, OCTAGRAM.perm),
-    "three_twist": (8, OCTAGRAM.perm),
-    "other": (8, OCTAGRAM.perm),
+    "unknot": (6, (0, 1, 2, 3, 4, 5), 1, 0),
+    "trefoil": (7, (0, 1, 4, 5, 2, 6, 3), 2, 9),
+    "figure_eight": (7, HEPTAGRAM.perm, 28, 896),
+    "cinquefoil": (8, OCTAGRAM.perm, 16, 1477),
+    "three_twist": (8, OCTAGRAM.perm, 64, 453),
+    "other": (8, OCTAGRAM.perm, 112, 385),
 }
+
+
+def _kind(label: str) -> str:
+    return label.removesuffix("_left").removesuffix("_right")
 
 
 def test_07_first_appearance_of_each_knot(heptagon_census, octagon_census):
@@ -300,9 +306,19 @@ def test_07_first_appearance_of_each_knot(heptagon_census, octagon_census):
     for catalog in (search_ngon(6), heptagon_census, octagon_census):
         for r in catalog.records:
             for label in r.classes:
-                kind = label.removesuffix("_left").removesuffix("_right")
-                first.setdefault(kind, (catalog.n, r.ordering))
-    assert first == FIRST_APPEARANCE
+                first.setdefault(_kind(label), (catalog.n, r.ordering, sum(
+                    _kind(other) == _kind(label) for other in r.classes)))
+    witnesses = {}
+    for kind, (n, ordering, _) in first.items():
+        d = diagram_from_ordering(regular_ngon(n), Ordering(ordering))
+        table = BracketTable(d)
+        a, cert = next((a, cert) for a, cert in feasible_assignments(d)
+                       if table.classify(a).kind == kind)
+        witnesses[kind] = a.bits
+        assert all(s > 0 for s in exact_slacks(
+            constraints_from_assignment(d, a), cert.z)), kind
+    assert {kind: (*first[kind], witnesses[kind])
+            for kind in first} == FIRST_APPEARANCE
 
 
 @pytest.mark.xfail(
@@ -328,14 +344,10 @@ def test_07_companion_heptagram_figure_eight_counterexample(heptagon_census):
               if table.classify(a).kind == "figure_eight"]
     assert tuple(a.bits for a, _ in eights) == HEPTAGRAM_FIGURE_EIGHT_BITS
     for a, cert in eights:
-        # the float rows and heights are exact binary rationals: every
-        # slack is positive exactly, and by over 1/1000 of max|z|, far
-        # beyond what rounding the row coefficients could move
-        rows = constraints_from_assignment(d, a).rows
-        z = [Fraction(h) for h in cert.z]
-        slacks = [sum(Fraction(float(r)) * h for r, h in zip(row, z))
-                  for row in rows]
-        assert min(slacks) * 1000 > max(abs(h) for h in z)
+        # every slack is positive exactly, and by over 1/1000 of max|z|,
+        # far beyond what rounding the row coefficients could move
+        slacks = exact_slacks(constraints_from_assignment(d, a), cert.z)
+        assert min(slacks) * 1000 > max(abs(Fraction(h)) for h in cert.z)
 
     a = CrossingAssignment.from_bits(14, 3973)
     pd = gauss_to_pd(extract_gauss_code(d, a))

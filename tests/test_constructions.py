@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from stickknots.geometry import (
     InvalidParameterError,
     Ordering,
     Vec2,
+    VectorSet,
     diagram_from_ordering,
     regular_ngon,
 )
@@ -43,6 +45,8 @@ from stickknots.constructions import (
     unknot_ordering,
     verify_selection,
 )
+
+from conftest import exact_slacks
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +312,53 @@ def test_census_labels_equal_the_labels_of_every_assignment(
             table.classify(a).label for a, _ in feas)), r.ordering
         chiral += any(label.endswith("_left") for label in r.classes)
     assert chiral > 5
+
+
+# ---------------------------------------------------------------------------
+# Vector sets beyond the regular n-gon, from rational unit vectors
+
+
+def _rational_vectors(pairs) -> VectorSet:
+    assert sum(x for x, _ in pairs) == sum(y for _, y in pairs) == 0
+    assert all(x * x + y * y == 1 for x, y in pairs)
+    return VectorSet.from_pairs((float(x), float(y)) for x, y in pairs)
+
+
+def test_rational_hexagon_gives_a_trefoil():
+    # six unit vectors with no central symmetry already give the trefoil
+    # that the regular hexagon cannot
+    vs = _rational_vectors([
+        (Fraction(-1), Fraction(0)), (Fraction(-63, 65), Fraction(-16, 65)),
+        (Fraction(0), Fraction(1)), (Fraction(16, 65), Fraction(-63, 65)),
+        (Fraction(4, 5), Fraction(3, 5)), (Fraction(12, 13), Fraction(-5, 13))])
+    d = diagram_from_ordering(vs, Ordering((0, 2, 5, 1, 4, 3)))
+    assert not d.is_degenerate
+    assert d.n_crossings == 5
+    table = BracketTable(d)
+    knots = {}
+    for a, cert in feasible_assignments(d):
+        label = table.classify(a).label
+        if label == "unknot":
+            continue
+        knots[a.bits] = label
+        assert all(s > 0 for s in exact_slacks(
+            constraints_from_assignment(d, a), cert.z))
+    assert knots == {14: "trefoil_right", 17: "trefoil_left"}
+
+
+def test_rational_set_closed_under_negation_gives_no_knot():
+    # like the regular hexagon, {+-u, +-v, +-w} knots in no ordering
+    half = [(Fraction(1), Fraction(0)), (Fraction(3, 5), Fraction(4, 5)),
+            (Fraction(-5, 13), Fraction(12, 13))]
+    vs = _rational_vectors(half + [(-x, -y) for x, y in half])
+    labels = Counter()
+    orderings = 0
+    for ordering, _ in canonical_ordering_classes(6, False):
+        d = diagram_from_ordering(vs, ordering)
+        assert not d.is_degenerate, ordering.perm
+        table = BracketTable(d)
+        labels.update(table.classify(a).label
+                      for a, _ in feasible_assignments(d))
+        orderings += 1
+    assert orderings == 120
+    assert labels == {"unknot": 138}

@@ -105,7 +105,7 @@ def test_infeasible_model_reports_a_gordan_ray():
     # nonnegative combination of its rows that vanishes (Gordan)
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
     core = heights._highs()
-    model = heights._lp_model(core, A, presolve=False)
+    model = heights._lp_model(core, A)
     assert heights._solve(core, model, A) is heights._NoHeights.INFEASIBLE
     _, has_ray, y = model.getDualRay()
     assert has_ray
@@ -118,7 +118,7 @@ def test_solve_reports_heights_beyond_the_scale_guard():
     # heights of about 1e10
     A = np.array([[1e-3, 0.0, 0.0], [-1e3, 1.0, 0.0], [0.0, -1e4, 1.0]])
     core = heights._highs()
-    model = heights._lp_model(core, A, presolve=False)
+    model = heights._lp_model(core, A)
     assert heights._solve(core, model, A) is heights._NoHeights.SCALE_GUARD
 
 
@@ -126,7 +126,7 @@ def test_solve_reports_heights_without_a_positive_margin():
     # the model's heights (1, 0) meet its own row; on the negated row that
     # the caller checks them against, their slack is -1
     core = heights._highs()
-    model = heights._lp_model(core, np.array([[1.0, 0.0]]), presolve=False)
+    model = heights._lp_model(core, np.array([[1.0, 0.0]]))
     assert (heights._solve(core, model, np.array([[-1.0, 0.0]]))
             is heights._NoHeights.NO_MARGIN)
 
@@ -338,6 +338,29 @@ def test_seven_gon_census_solves_few_lps(monkeypatch):
     solves = _count_solves(monkeypatch)
     search_ngon(7)
     assert 0 < len(solves) <= 300
+
+
+def test_warm_model_decides_like_a_fresh_one(monkeypatch):
+    # each LP of the census walk runs on one warm model per diagram; a
+    # fresh model of the same signed rows, reduced before its run as
+    # solve_feasibility's is, must find heights exactly when it does
+    solve = heights._solve
+    seen = []
+
+    def spy(core, model, A):
+        solved = solve(core, model, A)
+        seen.append((A, isinstance(solved, heights._NoHeights)))
+        return solved
+
+    monkeypatch.setattr(heights, "_solve", spy)
+    search_ngon(7)
+    monkeypatch.undo()
+    core = heights._highs()
+    fresh = [isinstance(heights._solve(core, heights._lp_model(core, A), A),
+                        heights._NoHeights) for A, _ in seen]
+    assert [none for _, none in seen] == fresh
+    assert len(seen) == 233
+    assert 0 < sum(fresh) < len(fresh)
 
 
 def test_feasible_assignments_equal_brute_force_on_integer_walks(

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/stickknots imports a name it never
 uses, defines a top-level name that nothing reads, exports a function that
 no other module reads, or gives a function a parameter that its body
-neither reads nor deletes; and the benchmark tracer finds every function
+neither reads nor deletes; only ``heights._lp_model`` builds a HiGHS
+model or sets its options; and the benchmark tracer finds every function
 it names."""
 
 import ast
@@ -184,6 +185,55 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def highs_configurations(sources: dict[str, str],
+                         allowed: str = "heights._lp_model") -> list[str]:
+    """Calls that build a HiGHS model (``_Highs()``) or set one of its
+    options (``setOptionValue``) outside the top-level function ``allowed``.
+
+    ``sources`` maps module names to source text.  Each call is named by
+    its module, the top-level definition that holds it and its line.
+    """
+    out = []
+    for mod, src in sorted(sources.items()):
+        for top in ast.parse(src).body:
+            owner = f"{mod}.{getattr(top, 'name', '<module>')}"
+            if owner == allowed:
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("_Highs", "setOptionValue"):
+                    out.append(f"{owner}: {name} (line {node.lineno})")
+    return out
+
+
+def test_highs_configuration_detector():
+    sources = {
+        "heights": "def _lp_model(core):\n    m = core._Highs()\n"
+                   "    m.setOptionValue('a', 1)\n    return m\n"
+                   "def f(core):\n    return core._Highs()\n",
+        "cli": "from x import _Highs\nm = _Highs()\n"
+               "m.setOptionValue('b', 2)\n",
+    }
+    assert highs_configurations(sources) == [
+        "cli.<module>: _Highs (line 2)",
+        "cli.<module>: setOptionValue (line 3)",
+        "heights.f: _Highs (line 6)"]
+
+
+def test_one_highs_model_configuration():
+    # every height LP runs on a model that _lp_model builds, so a second
+    # configuration, such as one option set per caller, fails here
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert highs_configurations(sources) == []
+    builder = highs_configurations(sources, allowed="")
+    assert builder and all(call.startswith("heights._lp_model: ")
+                           for call in builder)
 
 
 def test_tracer_patches_and_restores_every_layer_function():
