@@ -10,9 +10,11 @@ invariant and "all slacks > 0" can be normalized to "all slacks >= 1";
 that reformulation is a linear program, built by one function
 (:func:`_lp_model`) as a model of the HiGHS dual simplex (Huangfu & Hall,
 2018) through the binding that scipy ships.  The binding loads at the
-first LP (:func:`_highs`), not with this module: it pulls in all of
-``scipy.optimize``, which costs more than the rest of the package's
-start, and rendering or classifying a diagram solves nothing.
+first LP (:func:`_highs`), not with this module, and from its extension
+file alone: rendering or classifying a diagram solves nothing, and the
+usual import statement would first run ``scipy.optimize``'s package,
+which takes about a hundred times the extension's load time and fifteen
+times its memory.
 
 Flipping a crossing negates its row, so the feasible assignments of one
 diagram are the cells of a central hyperplane arrangement, one hyperplane
@@ -35,8 +37,12 @@ assignments rather than 2^c.  The walk covers the half with crossing 0's
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -193,11 +199,28 @@ def _row_entries(r: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _highs() -> ModuleType:
-    """scipy's HiGHS binding, imported by the first caller that builds a
-    model.  Each model or walk binds it once and passes it on, so no LP
-    runs an import statement."""
-    from scipy.optimize._highspy import _core
-    return _core
+    """scipy's HiGHS binding, loaded by the first caller that builds a
+    model from its extension file alone, so ``scipy.optimize``'s
+    ``__init__`` never runs.  It is registered under its own name, so an
+    ``import scipy.optimize`` before or after shares the one module."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    path = scipy and Path(scipy.origin).parent.joinpath(
+        "optimize", "_highspy", "_core" + EXTENSION_SUFFIXES[0])
+    if not (path and path.is_file()):
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no HiGHS binding "
+                          f"{name}; pyproject.toml pins scipy>=1.15,<1.18")
+    spec = importlib.util.spec_from_file_location(name, path)
+    core = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return core
 
 
 def _lp_model(core: ModuleType, A: np.ndarray) -> _core._Highs:

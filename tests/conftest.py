@@ -1,14 +1,17 @@
-"""Shared test helpers: exact-arithmetic oracles, generators and the 8-gon
-census fixture."""
+"""Shared test helpers: exact-arithmetic oracles, generators, the 8-gon
+census fixture and the environment of a subprocess that imports the
+package from ``src/``."""
 
 from __future__ import annotations
 
 import gc
 import math
+import os
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,15 @@ from stickknots.heights import (
     constraints_from_assignment,
     solve_feasibility,
 )
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the package's ``src/`` first on
+    ``PYTHONPATH``, for a subprocess that imports ``stickknots``."""
+    src = str(Path(codes.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,8 @@
 import dataclasses
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -19,7 +17,8 @@ from stickknots.geometry import Diagram, InvalidParameterError, \
 from stickknots.heights import HeightCertificate
 from stickknots.render import render_svg
 
-from conftest import near_regular_hexagon, walk_from_integer_vertices
+from conftest import near_regular_hexagon, src_env, \
+    walk_from_integer_vertices
 
 
 def run(capsys, *argv):
@@ -228,46 +227,58 @@ def test_classify_an_undecided_lp_exits_2(tmp_path, capsys):
 
 
 #: Runs each command line of its argument through ``cli.main`` in one
-#: process, and prints whether scipy was loaded after each import and
-#: each command, with the command's exit code.
+#: process, and prints, after each import and each command, whether
+#: ``scipy.optimize`` and scipy's HiGHS binding were loaded, with the
+#: command's exit code.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
+def loaded():
+    return ["scipy.optimize" in sys.modules,
+            "scipy.optimize._highspy._core" in sys.modules]
 steps = []
 import stickknots
-steps.append(["import stickknots", "scipy" in sys.modules])
+steps.append(["import stickknots", *loaded()])
 import stickknots.cli
-steps.append(["import stickknots.cli", "scipy" in sys.modules])
+steps.append(["import stickknots.cli", *loaded()])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = stickknots.cli.main(argv)
-    steps.append([" ".join(argv), "scipy" in sys.modules, code])
+    steps.append([" ".join(argv), *loaded(), code])
 print(json.dumps(steps))
 """
 
 
-def test_scipy_loads_at_the_first_lp():
-    # importing scipy.optimize for the HiGHS binding costs more than the
-    # rest of the start, so only a command that solves an LP may load it
+def test_highs_binding_loads_at_the_first_lp_without_scipy_optimize():
+    # scipy.optimize's package costs far more than the HiGHS binding, so
+    # it never loads; the binding loads only for a command that solves an LP
     render = ["render", "--n", "5", "--ordering", "0,3,1,4,2",
               "--assignment", "alternating"]
     classify = ["classify", "--n", "8", "--ordering", "0,2,4,7,1,6,3,5"]
     feasibility = classify + ["--feasibility"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE,
          json.dumps([render, classify, feasibility])],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=src_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [
-        ["import stickknots", False],
-        ["import stickknots.cli", False],
-        [" ".join(render), False, 0],
-        [" ".join(classify), False, 0],
-        [" ".join(feasibility), True, 0],
+        ["import stickknots", False, False],
+        ["import stickknots.cli", False, False],
+        [" ".join(render), False, False, 0],
+        [" ".join(classify), False, False, 0],
+        [" ".join(feasibility), False, True, 0],
     ]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["classify", "--n", "8", "--ordering", "0,2,4,7,1,6,3,5",
+            "--feasibility"]
+    res = subprocess.run([sys.executable, "-m", "stickknots", *argv],
+                         capture_output=True, text=True, env=src_env(),
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert res.stdout == out
 
 
 def test_classify_feasibility_without_crossings_writes_strict_json(capsys):

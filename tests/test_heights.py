@@ -1,7 +1,14 @@
 """Height feasibility: LP solver, certificates, elimination oracle."""
 
+import importlib.util
 import math
 import random
+import re
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
+from importlib.metadata import version
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +42,7 @@ from conftest import (
     fm_feasible,
     near_regular_hexagon,
     random_integer_walk,
+    src_env,
     walk_from_integer_vertices,
 )
 from stickknots.geometry import detect_crossings
@@ -83,21 +91,70 @@ HIGHS_MODULE_NAMES = ("_Highs", "kHighsInf", "HighsModelStatus",
 
 
 def test_highs_binding_provides_what_the_models_call():
-    import importlib
-    import scipy
-
     pinned = "; pyproject.toml pins the scipy range whose binding has them"
     try:
-        core = importlib.import_module("scipy.optimize._highspy._core")
+        core = heights._highs()
     except ImportError as err:
-        pytest.fail(f"scipy {scipy.__version__} has no HiGHS binding "
-                    f"scipy.optimize._highspy._core ({err}){pinned}")
+        pytest.fail(str(err))
     missing = [name for name in HIGHS_MODULE_NAMES if not hasattr(core, name)]
     missing += [f"_Highs.{name}" for name in HIGHS_MODEL_CALLS
                 if not hasattr(getattr(core, "_Highs", None), name)]
-    assert not missing, (f"scipy {scipy.__version__}: "
+    assert not missing, (f"scipy {version('scipy')}: "
                          f"scipy.optimize._highspy._core lacks "
                          f"{', '.join(missing)}{pinned}")
+
+
+def test_missing_highs_binding_names_the_pinned_scipy(monkeypatch, tmp_path):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pin = re.search(r'"(scipy[<>=][^"]*)"', pyproject.read_text()).group(1)
+    name = "scipy.optimize._highspy._core"
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(
+        importlib.util, "find_spec",
+        lambda _: ModuleSpec("scipy", None,
+                             origin=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError) as err:
+        heights._highs()
+    assert str(err.value) == (f"scipy {version('scipy')} has no HiGHS binding "
+                              f"{name}; pyproject.toml pins {pin}")
+    assert name not in sys.modules
+    # an extension file that does not load leaves no module behind
+    broken = tmp_path.joinpath("optimize", "_highspy",
+                               "_core" + EXTENSION_SUFFIXES[0])
+    broken.parent.mkdir(parents=True)
+    broken.write_bytes(b"")
+    with pytest.raises(ImportError):
+        heights._highs()
+    assert name not in sys.modules
+
+
+#: Loads the HiGHS binding and ``scipy.optimize`` in the order of its
+#: argument, and prints whether every route to the binding gives one
+#: module, with ``linprog``'s status on a small LP.
+_BINDING_PROBE = """
+import sys
+from stickknots import heights
+if sys.argv[1] == "highs first":
+    first = heights._highs()
+import scipy.optimize
+import scipy.optimize._highspy._core as imported
+from scipy.optimize._highspy import _core
+if sys.argv[1] != "highs first":
+    first = heights._highs()
+res = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1],
+                             method="highs")
+print(first is imported is _core is heights._highs()
+      is sys.modules["scipy.optimize._highspy._core"], res.status)
+"""
+
+
+@pytest.mark.parametrize("order", ["highs first", "scipy.optimize first"])
+def test_one_highs_binding_in_either_import_order(order):
+    res = subprocess.run([sys.executable, "-c", _BINDING_PROBE, order],
+                         capture_output=True, text=True, env=src_env(),
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "0"]
 
 
 def test_infeasible_model_reports_a_gordan_ray():

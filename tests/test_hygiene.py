@@ -2,8 +2,9 @@
 uses, defines a top-level name that nothing reads, exports a function that
 no other module reads, or gives a function a parameter that its body
 neither reads nor deletes; only ``heights._lp_model`` builds a HiGHS
-model or sets its options; and the benchmark tracer finds every function
-it names."""
+model or sets its options; no module imports ``scipy.optimize`` outside
+``heights``'s type-checking block; and the benchmark tracer finds every
+function it names."""
 
 import ast
 import importlib.util
@@ -234,6 +235,60 @@ def test_one_highs_model_configuration():
     builder = highs_configurations(sources, allowed="")
     assert builder and all(call.startswith("heights._lp_model: ")
                            for call in builder)
+
+
+def scipy_optimize_imports(sources: dict[str, str]) -> list[str]:
+    """Import statements of ``scipy.optimize`` or a module under it,
+    except in ``heights``'s top-level ``if TYPE_CHECKING:`` block.
+
+    ``sources`` maps module names to source text.  Each statement is named
+    by its module and line.
+    """
+    out = []
+    for mod, src in sorted(sources.items()):
+        tree = ast.parse(src)
+        skip = set()
+        if mod == "heights":
+            skip = {id(node) for top in tree.body if isinstance(top, ast.If)
+                    and getattr(top.test, "id", None) == "TYPE_CHECKING"
+                    for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.optimize"
+                   or name.startswith("scipy.optimize.") for name in names):
+                out.append(f"{mod} (line {node.lineno})")
+    return out
+
+
+def test_scipy_optimize_import_detector():
+    sources = {
+        "heights": "from typing import TYPE_CHECKING\n"
+                   "if TYPE_CHECKING:\n"
+                   "    from scipy.optimize._highspy import _core\n"
+                   "def _highs():\n"
+                   "    from scipy.optimize._highspy import _core\n",
+        "cli": "import scipy\nfrom scipy import optimize\n"
+               "import scipy.optimize as so\nfrom scipy.sparse import eye\n",
+    }
+    assert scipy_optimize_imports(sources) == [
+        "cli (line 2)", "cli (line 3)", "heights (line 5)"]
+
+
+def test_no_scipy_optimize_import():
+    # heights._highs loads the HiGHS binding's extension file by itself;
+    # importing scipy.optimize runs its package __init__, which takes
+    # about a hundred times as long and fifteen times the memory
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert scipy_optimize_imports(sources) == []
 
 
 def test_tracer_patches_and_restores_every_layer_function():
