@@ -20,10 +20,10 @@ digits, with the writhe normalization folded in, as the Jones polynomial's
 triple closure scheme's, are flips of one *projection*: a PD code with
 every first strand under, each crossing's writhe sign in it, and its plan.
 A flip is labelled among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
-that the stick constructions can produce, by one lookup of those pairs
-among reference polynomials computed in-process from standard minimal PD
-fixtures and validated by determinants; tricolorability is read off the
-determinant.
+that the stick constructions can produce by one lookup of its packed
+bracket, undecoded, among reference polynomials computed in-process from
+standard minimal PD fixtures, validated by determinants and packed per
+crossing count and writhe; tricolorability is read off the determinant.
 """
 
 from __future__ import annotations
@@ -425,19 +425,16 @@ def _decode(packed: int, c: int, writhe: int) -> tuple[tuple[int, int], ...]:
     Y^i = A^(2i) in A^c * Y^(2c) * bracket, so of A^(2i - 5c) in it."""
     w = _digit_width(c)
     mask, half = (1 << w) - 1, 1 << w - 1
-    sign, base = -1 if writhe & 1 else 1, -5 * c - 3 * writhe
+    sign, e = -1 if writhe & 1 else 1, -5 * c - 3 * writhe
     pairs = []
-    i = 0
     while packed:
-        skip = ((packed & -packed).bit_length() - 1) // w  # zero digits
-        packed >>= skip * w
-        i += skip
         digit = packed & mask
         if digit >= half:
             digit -= 1 << w
-        pairs.append((2 * i + base, sign * digit))
+        if digit:
+            pairs.append((e, sign * digit))
         packed = (packed - digit) >> w
-        i += 1
+        e += 2
     return tuple(pairs)
 
 
@@ -542,6 +539,23 @@ def _reference_jones() -> dict[tuple[tuple[int, int], ...], KnotClass]:
         hands = ("right", "left") if w > 0 else ("left", "right")
         for poly, hand in zip((j, jm), hands):
             out[poly.key()] = make_knot_class(kind, hand)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_reference(c: int, writhe: int) -> dict[int, KnotClass]:
+    """``_reference_jones()`` keyed by the bracket ``_evaluate`` packs at c
+    crossings and this writhe: ``_decode`` inverted, each pair (e, coef) a
+    digit (e + 5c + 3 * writhe) / 2 worth (-1)^writhe * coef.  A key with a
+    digit that cannot occur there is left out."""
+    w, sign = _digit_width(c), -1 if writhe & 1 else 1
+    out = {}
+    for key, k in _reference_jones().items():
+        digits = [(divmod(e + 5 * c + 3 * writhe, 2), sign * coef)
+                  for e, coef in key]
+        if all(i >= 0 and not odd and -1 << w - 1 <= d < 1 << w - 1
+               for (i, odd), d in digits):
+            out[sum(d << w * i for (i, _), d in digits)] = k
     return out
 
 
@@ -671,28 +685,33 @@ class _Projection:
 
     def __init__(self, g: GaussCode) -> None:
         self.pd = gauss_to_pd(g)
-        self.signs = tuple(s for _, s in sorted(
-            {e.crossing: e.sign for e in g.entries}.items()))
+        self.positive = sum({1 << e.crossing for e in g.entries if e.sign > 0})
+        self.negative = sum({1 << e.crossing for e in g.entries if e.sign < 0})
+        self.base_writhe = self.positive.bit_count() - self.negative.bit_count()
         self.plan: Optional[tuple[_Step, ...]] = None
 
     def writhe(self, flip: int) -> int:
-        """The base signs, with the flipped crossings negated."""
-        return sum(-s if flip >> k & 1 else s
-                   for k, s in enumerate(self.signs))
+        """Base writhe, -2 per flipped positive and +2 per flipped negative."""
+        return self.base_writhe - 2 * ((flip & self.positive).bit_count()
+                                       - (flip & self.negative).bit_count())
+
+    def packed(self, flip: int) -> int:
+        """``_evaluate`` of the flip's bracket."""
+        if self.plan is None:
+            self.plan = _contraction_plan(self.pd)
+        return _evaluate(self.plan, flip)
 
     def decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
         """``_decode`` of the flip's bracket, normalized for ``writhe``."""
-        if self.plan is None:
-            self.plan = _contraction_plan(self.pd)
-        return _decode(_evaluate(self.plan, flip), len(self.pd), writhe)
+        return _decode(self.packed(flip), len(self.pd), writhe)
 
     def label(self, flip: int) -> KnotClass:
         """The unknot below 3 crossings, otherwise the reference class of
-        the flip's Jones polynomial, or ``OTHER``."""
+        the flip's packed bracket, or ``OTHER``."""
         if len(self.pd) < 3:
             return UNKNOT
-        return _reference_jones().get(
-            self.decoded(flip, self.writhe(flip)), OTHER)
+        return _packed_reference(len(self.pd), self.writhe(flip)).get(
+            self.packed(flip), OTHER)
 
 
 class BracketTable:

@@ -14,7 +14,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -485,22 +484,32 @@ class SearchCatalog:
                    eps=float(header["eps"]), records=records)
 
 
-def _orbit_size(perm: tuple[int, ...], relabelings: list) -> int:
+def _orbit_size(perm: tuple[int, ...], use_symmetry: bool) -> int:
     """Size of the symmetry class of ``perm``, or 0 if an image is smaller.
 
-    An image is the word or the reversed word relabelled by a ``relabelings``
-    table, rotated to start at the label ``zero`` that the table maps to 0.
+    The image relabelling word[j] -> 0 by i -> s * (i - word[j]) starts
+    (0, s * d) for the step d from word[j] of the word or reversed word.
+    No step of ``perm`` is shorter than perm[1], so only the images that
+    start (0, perm[1]) can be smaller or equal; they are compared label by
+    label, and by orbit-stabilizer the orbit is 4n over the number equal.
     """
-    n = len(perm)
-    images = {perm}
+    if not use_symmetry:
+        return 1
+    n, first, equal = len(perm), perm[1], 0
     for word in (perm * 2, perm[::-1] * 2):
-        for table, zero in relabelings:
-            start = word.index(zero)
-            image = itemgetter(*word[start:start + n])(table)
-            if image < perm:
-                return 0
-            images.add(image)
-    return len(images)
+        for j, x in enumerate(word[:n]):
+            for s in (1, -1):
+                if s * (word[j + 1] - x) % n != first:
+                    continue
+                for y, label in zip(word[j + 2:j + n], perm[2:]):
+                    y = s * (y - x) % n
+                    if y != label:
+                        if y < label:
+                            return 0
+                        break
+                else:
+                    equal += 1
+    return 4 * n // equal
 
 
 def canonical_ordering_classes(n: int, use_symmetry: bool = True
@@ -519,8 +528,6 @@ def canonical_ordering_classes(n: int, use_symmetry: bool = True
     """
     if n < 3:
         raise InvalidParameterError(f"orderings need n >= 3, got {n}")
-    relabelings = [(tuple((s * i + k) % n for i in range(n)), (-s * k) % n)
-                   for s in (1, -1) for k in range(n)] if use_symmetry else []
     classes = []
 
     def extend(prefix: tuple[int, ...], rest: tuple[int, ...], floor: int):
@@ -531,7 +538,7 @@ def canonical_ordering_classes(n: int, use_symmetry: bool = True
             return
         for perm in (prefix + tail for tail in itertools.permutations(rest)):
             if floor <= perm[-1] <= n - floor:  # the step back to 0
-                orbit = _orbit_size(perm, relabelings)
+                orbit = _orbit_size(perm, use_symmetry)
                 if orbit:
                     classes.append((Ordering(perm), orbit))
 
@@ -551,9 +558,8 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
     unresolved degeneracies are recorded with the degenerate flag and
     skipped for classification.
 
-    n is capped at 10, though the 9- and 10-gon censuses take about 35 s
-    and 20 s on a 2-core host: the 11-gon census (83,435 classes) is worth
-    its cost only once the degenerate classes, recorded but not classified
+    n is capped at 10: the 11-gon census (83,435 classes) is worth its
+    cost only once the degenerate classes, recorded but not classified
     (11.7% of the 10-gon orderings), are classified too.
     """
     if n > 10:

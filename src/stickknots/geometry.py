@@ -89,9 +89,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def scaled(self, k: float) -> "Vec2":
         return Vec2(k * self.x, k * self.y)
 
@@ -112,13 +109,18 @@ class Vec2:
 
     def angle(self) -> float:
         """Polar angle in [0, 2*pi)."""
-        a = math.atan2(self.y, self.x)
-        if a < 0.0:
-            a += 2.0 * math.pi
-        return a % (2.0 * math.pi)
+        return _angle(self.x, self.y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
+
+
+def _angle(x: float, y: float) -> float:
+    """Polar angle of (x, y) in [0, 2*pi)."""
+    a = math.atan2(y, x)
+    if a < 0.0:
+        a += 2.0 * math.pi
+    return a % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -562,33 +564,34 @@ def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
 
 class _Strand(NamedTuple):
     """The walk passing through a point: edge ``edge`` at parameter ``t``,
-    and the rays leaving the point backwards and forwards along the walk.
-    At t = 1.0 the strand turns the corner at vertex ``edge + 1``."""
+    and the rays (dx, dy) leaving the point backwards and forwards along the
+    walk.  At t = 1.0 the strand turns the corner at vertex ``edge + 1``."""
 
     edge: int
     t: float
-    rays: tuple[Vec2, Vec2]
+    rays: tuple[tuple[float, float], tuple[float, float]]
 
 
 def _strand(walk: Walk, edge: int, t: float) -> _Strand:
-    d = walk.edge_vec(edge)
-    return _Strand(edge, t, (-d, walk.edge_vec(edge + 1) if t == 1.0 else d))
+    v, k = walk.vertices, (edge + 1) % walk.n_edges if t == 1.0 else edge
+    p, q, r, s = v[edge], v[edge + 1], v[k], v[k + 1]
+    return _Strand(edge, t, ((p.x - q.x, p.y - q.y), (s.x - r.x, s.y - r.y)))
 
 
 #: Rays closer than this angle (radians) cannot be told apart.
 _EPS_ANGLE = 1e-9
 
 
-def _interleaved(rays_a: tuple[Vec2, Vec2],
-                 rays_b: tuple[Vec2, Vec2]) -> Optional[bool]:
+def _interleaved(rays_a: tuple[tuple[float, float], ...],
+                 rays_b: tuple[tuple[float, float], ...]) -> Optional[bool]:
     """Whether strand b's rays separate strand a's rays angularly.
 
     Four rays leave a shared point.  The two strands cross there exactly when
     their rays alternate around the circle.  Returns None when two rays are
     angularly indistinguishable (unresolvable contact).
     """
-    labeled = [(r.angle(), 0) for r in rays_a] + [(r.angle(), 1) for r in rays_b]
-    labeled.sort()
+    labeled = sorted([(_angle(*r), 0) for r in rays_a]
+                     + [(_angle(*r), 1) for r in rays_b])
     for i in range(4):
         a0 = labeled[i][0]
         a1 = labeled[(i + 1) % 4][0]
@@ -600,12 +603,12 @@ def _interleaved(rays_a: tuple[Vec2, Vec2],
     return pattern[0] != pattern[1] and pattern[1] != pattern[2]
 
 
-def _tangent(rays: tuple[Vec2, Vec2]) -> tuple[float, float]:
+def _tangent(rays: tuple[tuple[float, float], ...]) -> tuple[float, float]:
     """Direction of travel through the point: the sum of the incoming and
     outgoing unit directions (parallel to both for a straight pass)."""
-    back, fwd = rays
-    nb, nf = math.hypot(back.x, back.y), math.hypot(fwd.x, fwd.y)
-    return fwd.x / nf - back.x / nb, fwd.y / nf - back.y / nb
+    (bx, by), (fx, fy) = rays
+    nb, nf = math.hypot(bx, by), math.hypot(fx, fy)
+    return fx / nf - bx / nb, fy / nf - by / nb
 
 
 def _crossing(a: _Strand, b: _Strand, point: Vec2) -> Crossing:

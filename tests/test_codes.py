@@ -354,6 +354,82 @@ def test_census_labels_build_no_laurent_poly(monkeypatch):
     assert built == []
 
 
+def test_packed_reference_decodes_back_to_every_reference_key():
+    reference = codes._reference_jones()
+    fitted = set()
+    for c in range(3, 31):
+        half = 1 << 3 * c + 1
+        for writhe in range(-c, c + 1):
+            table = codes._packed_reference(c, writhe)
+            back = {codes._decode(packed, c, writhe): k
+                    for packed, k in table.items()}
+            fits = [key for key in reference if all(
+                (e + 5 * c + 3 * writhe) % 2 == 0
+                and e + 5 * c + 3 * writhe >= 0 and -half <= coef < half
+                for e, coef in key)]
+            assert len(back) == len(table) == len(fits)
+            for key in fits:
+                assert back[key] == reference[key]
+                fitted.add(key)
+    assert fitted == set(reference)
+
+
+def test_packed_reference_leaves_out_keys_that_cannot_occur(monkeypatch):
+    # at c = 3 and writhe 1 a digit is 11 bits wide, and exponent e is
+    # digit (e + 18) / 2 with its coefficient negated
+    fake = {((0, 1),): "fits", ((0, -1 << 10),): "too wide",
+            ((1, 1),): "odd exponent", ((-20, 1),): "below digit 0"}
+    monkeypatch.setattr(codes, "_reference_jones", lambda: fake)
+    table = codes._packed_reference.__wrapped__(3, 1)
+    assert table == {-1 << 11 * 9: "fits"}
+    assert codes._decode(-1 << 11 * 9, 3, 1) == ((0, 1),)
+
+
+def test_labels_decode_nothing(monkeypatch):
+    from stickknots.constructions import search_ngon
+    codes._reference_jones()  # decoded once per process, before any label
+    decodes = []
+    decode = codes._decode
+
+    def spy(*args):
+        decodes.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(codes, "_decode", spy)
+    catalog = search_ngon(7)
+    assert sum(len(r.classes) for r in catalog.records) > 0
+    d = _diagram(8, OCTAGRAM)
+    table = BracketTable(d)
+    rng = random.Random(25)
+    for bits in rng.sample(range(1 << 16), 32):
+        table.classify(CrossingAssignment.from_bits(16, bits))
+    assert decodes == []
+
+
+@pytest.mark.parametrize("n, ordering", [
+    (7, TREFOIL_7GON), (5, PENTAGRAM), (8, FIGURE_EIGHT_8GON),
+    (9, Ordering((0, 1, 4, 5, 8, 3, 7, 2, 6))),  # 10 crossings
+])
+def test_projection_writhe_is_the_diagram_writhe_on_every_flip(n, ordering):
+    d = _diagram(n, ordering)
+    c = d.n_crossings
+    assert not d.is_degenerate and 3 <= c <= 10
+    projection = BracketTable(d)._projection
+    for bits in range(1 << c):
+        assert projection.writhe(bits) == diagram_writhe(
+            d, CrossingAssignment.from_bits(c, bits))
+
+
+def test_projection_writhe_is_the_diagram_writhe_on_the_star():
+    d = _diagram(9, STAR_9_4)
+    projection = BracketTable(d)._projection
+    rng = random.Random(1000)
+    for _ in range(1000):
+        bits = rng.randrange(1 << 27)
+        assert projection.writhe(bits) == diagram_writhe(
+            d, CrossingAssignment.from_bits(27, bits))
+
+
 def test_tables_and_classify_share_one_plan_per_diagram(plan_builds):
     # the 9-gon scan's loop on the 8-gon classes: a table labels a sample,
     # then single-assignment classify labels more of the same diagram

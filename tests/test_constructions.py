@@ -224,6 +224,28 @@ def test_ten_gon_classes_partition_all_orderings():
     assert sum(orbit for _, orbit in classes) == math.factorial(9)
 
 
+@pytest.mark.parametrize("perm", [
+    tuple(range(7)),                # convex: a dihedral stabilizer of 14
+    tuple(range(9)),
+    (0, 3, 6, 2, 5, 1, 4),          # {7/3} heptagram
+    (0, 4, 8, 3, 7, 2, 6, 1, 5),    # {9/4} star: a stabilizer of 18
+])
+def test_orbit_size_of_the_regular_stars_is_two(perm):
+    n = len(perm)
+    assert constructions._orbit_size(perm, True) == 2
+    assert (Ordering(perm), 2) in canonical_ordering_classes(n)
+    assert constructions._orbit_size(perm, False) == 1
+
+
+def test_orbit_size_is_zero_off_the_smallest_image():
+    # every step is 2 to 5, as the first-step cut leaves it, yet the
+    # images relabelled by i -> 2 - i include a smaller one
+    perm = (0, 2, 4, 6, 1, 5, 3)
+    assert constructions._orbit_size(perm, True) == 0
+    assert Ordering(perm) not in {o for o, _ in canonical_ordering_classes(7)}
+    assert constructions._orbit_size(perm, False) == 1
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_representatives_start_with_their_shortest_step(n):
     for ordering, _ in canonical_ordering_classes(n):
