@@ -1,11 +1,12 @@
 """Diagram codes and small-knot classification.
 
 Every knot code takes one path.  A diagram and an over/under choice at
-every crossing give a *signed* Gauss code: the crossing visits in walk
-order, each marked over or under and carrying the crossing's writhe sign
-(+1 when the over strand passes from the right of the under strand to its
-left).  ``gauss_to_pd`` turns that code, and nothing else, into a planar-diagram
-(PD) code.  The one bracket engine comes in two halves.
+every crossing, one bit each (``CrossingAssignment.bits``), give a
+*signed* Gauss code: the crossing visits in walk order, each marked over
+or under and carrying the crossing's writhe sign (+1 when the over strand
+passes from the right of the under strand to its left).  ``gauss_to_pd``
+turns that code, and nothing else, into a planar-diagram (PD) code.  The
+one bracket engine comes in two halves.
 ``_contraction_plan`` adds the crossings one at a time to a growing tangle
 and records, for each pairing of its open arc ends, where each smoothing
 sends it, so its cost follows the tangle's boundary rather than 2^c
@@ -33,7 +34,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geometry import (EPS_DEFAULT, Degeneracy, Diagram, InvalidParameterError,
                        Walk, detect_crossings)
@@ -70,33 +71,43 @@ __all__ = [
 # Crossing assignments and Gauss codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CrossingAssignment:
     """Which strand passes over at each crossing of a target diagram.
 
-    ``over_a[k]`` is True when ``edge_a`` of crossing ``k`` is the over
-    strand.
+    Bit k of ``bits`` is set when ``edge_a`` of crossing ``k`` is the over
+    strand.  ``CrossingAssignment(over_a)`` builds it from one bool per
+    crossing, and ``over_a`` reads them back.
     """
 
-    over_a: tuple[bool, ...]
+    n_crossings: int
+    bits: int
 
-    @property
-    def bits(self) -> int:
-        """Bit k set <=> edge_a of crossing k passes over."""
-        return sum(1 << k for k, o in enumerate(self.over_a) if o)
+    def __init__(self, over_a: Sequence[bool]) -> None:
+        object.__setattr__(self, "n_crossings", len(over_a))
+        object.__setattr__(self, "bits",
+                           sum(1 << k for k, o in enumerate(over_a) if o))
 
     @classmethod
     def from_bits(cls, n_crossings: int, bits: int) -> "CrossingAssignment":
         if not 0 <= bits < 1 << n_crossings:
             raise InvalidParameterError(
                 f"assignment bits {bits} out of range for {n_crossings} crossings")
-        return cls(tuple(bool(bits >> k & 1) for k in range(n_crossings)))
+        a = object.__new__(cls)
+        object.__setattr__(a, "n_crossings", n_crossings)
+        object.__setattr__(a, "bits", bits)
+        return a
+
+    @property
+    def over_a(self) -> tuple[bool, ...]:
+        return tuple(bool(self.bits >> k & 1) for k in range(self.n_crossings))
 
     def flipped(self) -> "CrossingAssignment":
-        return CrossingAssignment(tuple(not o for o in self.over_a))
+        return CrossingAssignment.from_bits(
+            self.n_crossings, self.bits ^ (1 << self.n_crossings) - 1)
 
     def __len__(self) -> int:
-        return len(self.over_a)
+        return self.n_crossings
 
 
 @dataclass(frozen=True)
@@ -153,23 +164,17 @@ def _check_assignment(d: Diagram, a: CrossingAssignment) -> None:
             f"assignment covers {len(a)} crossings, diagram has {d.n_crossings}")
 
 
-def _writhe_signs(d: Diagram, a: CrossingAssignment) -> list[int]:
-    """Writhe sign of each crossing under the assignment's over/under roles,
-    after checking the diagram and the assignment."""
-    d.require_clean()
-    _check_assignment(d, a)
-    # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over).
-    return [-c.sign if over else c.sign
-            for c, over in zip(d.crossings, a.over_a)]
-
-
 def extract_gauss_code(d: Diagram, a: CrossingAssignment) -> GaussCode:
     """Linearize the diagram: signed crossings in traversal order."""
-    signs = _writhe_signs(d, a)
+    d.require_clean()
+    _check_assignment(d, a)
     entries = []
     for edge, t, k, side in _visit_order(d):
-        over = a.over_a[k] if side == "a" else not a.over_a[k]
-        entries.append(GaussEntry(crossing=k, over=over, sign=signs[k]))
+        over_a = bool(a.bits >> k & 1)
+        # c.sign is cross(dir_a, dir_b); the writhe sign is cross(under, over)
+        sign = d.crossings[k].sign
+        entries.append(GaussEntry(crossing=k, over=over_a == (side == "a"),
+                                  sign=-sign if over_a else sign))
     return GaussCode(tuple(entries))
 
 
@@ -199,8 +204,9 @@ def gauss_to_pd(g: GaussCode) -> PDCode:
 
 
 def diagram_writhe(d: Diagram, a: CrossingAssignment) -> int:
-    """Sum of crossing signs with the under/over roles from the assignment."""
-    return sum(_writhe_signs(d, a))
+    """Sum of crossing signs with the under/over roles from the assignment,
+    read off the diagram's projection (``BracketTable.writhe``)."""
+    return BracketTable(d).writhe(a)
 
 
 def pd_writhe(pd: PDCode) -> int:
@@ -657,20 +663,18 @@ def alternating_assignment(d: Diagram) -> Optional[CrossingAssignment]:
     alternation is the total flip of the returned one.
     """
     d.require_clean()
-    visits = _visit_order(d)
     want_over = True
-    over_a: dict[int, bool] = {}
-    for edge, t, k, side in visits:
-        this_over_a = want_over if side == "a" else not want_over
-        if k in over_a:
-            if over_a[k] != this_over_a:
+    seen = bits = 0
+    for edge, t, k, side in _visit_order(d):
+        over_a = want_over == (side == "a")
+        if seen >> k & 1:
+            if bits >> k & 1 != over_a:
                 return None
         else:
-            over_a[k] = this_over_a
+            seen |= 1 << k
+            bits |= over_a << k
         want_over = not want_over
-    if not visits:
-        return CrossingAssignment(())
-    return CrossingAssignment(tuple(over_a[k] for k in range(d.n_crossings)))
+    return CrossingAssignment.from_bits(d.n_crossings, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +732,7 @@ class BracketTable:
     def __init__(self, d: Diagram) -> None:
         self.diagram = d
         if "_projection" not in vars(d):
-            base = CrossingAssignment((False,) * d.n_crossings)
+            base = CrossingAssignment.from_bits(d.n_crossings, 0)
             vars(d)["_projection"] = _Projection(extract_gauss_code(d, base))
         self._projection = vars(d)["_projection"]
 
@@ -747,12 +751,3 @@ class BracketTable:
     def classify(self, a: CrossingAssignment) -> KnotClass:
         _check_assignment(self.diagram, a)
         return self._projection.label(a.bits)
-
-    def classify_bits(self, bits: int) -> KnotClass:
-        """:meth:`classify` of the assignment with these bits, as
-        :attr:`CrossingAssignment.bits` gives them."""
-        c = self.diagram.n_crossings
-        if not 0 <= bits < 1 << c:
-            raise InvalidParameterError(
-                f"assignment bits {bits} out of range for {c} crossings")
-        return self._projection.label(bits)

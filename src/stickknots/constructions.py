@@ -226,8 +226,8 @@ def verify_selection(n_range: Iterable[int],
             proj_class = table.classify(alt).label
             # a total flip mirrors the knot, and trefoils of either hand
             # count: the walked half decides
-            feasible_trefoil = any(table.classify_bits(b).kind == "trefoil"
-                                   for b in feasible_cells(d)[0])
+            feasible_trefoil = any(table.classify(CrossingAssignment.from_bits(
+                d.n_crossings, b)).kind == "trefoil" for b in feasible_cells(d)[0])
         checks = {
             "subwalk_crossings": pairs == ((0, 2), (0, 3), (1, 3))
                                  and d.n_crossings == 3,
@@ -575,7 +575,8 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
                 merged_sticks=d.walk.n_edges, orbit=orbit))
             continue
         table = BracketTable(d)
-        kinds = [table.classify_bits(b) for b in feasible_cells(d)[0]]
+        kinds = [table.classify(CrossingAssignment.from_bits(d.n_crossings, b))
+                 for b in feasible_cells(d)[0]]
         if d.n_crossings:  # each walked cell's total flip: its mirror image
             kinds += [k.mirror() for k in kinds]
         labels = sorted(k.label for k in kinds)

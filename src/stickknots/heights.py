@@ -131,6 +131,15 @@ class UndecidedLPError(RuntimeError):
     system it models is decided neither way."""
 
 
+def _check_vertices(d: Diagram, vertices: frozenset[int]) -> int:
+    """The walk's vertex count, after checking that it holds every vertex."""
+    m = d.walk.n_edges
+    for v in vertices:
+        if not 0 <= v < m:
+            raise InvalidParameterError(f"vertex {v} outside walk of {m} vertices")
+    return m
+
+
 def height_variable_map(d: Diagram,
                         split_vertices: frozenset[int] = frozenset()
                         ) -> dict[tuple[int, str], int]:
@@ -139,19 +148,16 @@ def height_variable_map(d: Diagram,
     Unsplit vertices use one shared variable; a split vertex (one carrying a
     vertical stick) gets independent variables for the strand entering and
     the strand leaving, since the stick can bridge any height difference.
+    A split vertex outside the walk raises.
     """
-    m = d.walk.n_edges
+    m = _check_vertices(d, split_vertices)
     mapping: dict[tuple[int, str], int] = {}
     next_var = 0
     for v in range(m):
-        if v in split_vertices:
-            mapping[(v, "in")] = next_var
-            mapping[(v, "out")] = next_var + 1
-            next_var += 2
-        else:
-            mapping[(v, "in")] = next_var
-            mapping[(v, "out")] = next_var
-            next_var += 1
+        mapping[(v, "in")] = next_var
+        next_var += v in split_vertices
+        mapping[(v, "out")] = next_var
+        next_var += 1
     return mapping
 
 
@@ -384,7 +390,7 @@ def feasible_cells(d: Diagram,
     """
     c = d.n_crossings
     base = constraints_from_assignment(
-        d, CrossingAssignment((True,) * c), split_vertices)
+        d, CrossingAssignment.from_bits(c, (1 << c) - 1), split_vertices)
     active = np.flatnonzero(np.any(base.rows != 0.0, axis=0))
     R = np.ascontiguousarray(base.rows[:, active])
     G = R @ R.T  # G[k, j] = r_k . r_j
@@ -481,8 +487,4 @@ def vertical_stick_augmentation(d: Diagram, vertices: frozenset[int]) -> int:
     and decouples the heights of the strands meeting at that vertex (the
     split handled by :func:`height_variable_map`).
     """
-    m = d.walk.n_edges
-    for v in vertices:
-        if not 0 <= v < m:
-            raise InvalidParameterError(f"vertex {v} outside walk of {m} vertices")
-    return m + len(vertices)
+    return _check_vertices(d, vertices) + len(vertices)

@@ -37,9 +37,9 @@ def _gap_intervals(d: Diagram, a: Optional[CrossingAssignment],
         return []
     under = []
     for k, c in enumerate(d.crossings):
-        if c.edge_a == edge and not a.over_a[k]:
+        if c.edge_a == edge and not a.bits >> k & 1:
             under.append(c.t_a)
-        elif c.edge_b == edge and a.over_a[k]:
+        elif c.edge_b == edge and a.bits >> k & 1:
             under.append(c.t_b)
     if not under:
         # an edge with no gap may have zero length (a walk that collapsed)

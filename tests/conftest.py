@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stickknots import codes
@@ -155,6 +156,67 @@ def brute_feasible_assignments(d: Diagram,
         if cert is not None:
             out.append((a, cert))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Region count of a central arrangement: the number of feasible assignments,
+# decided without walking a cell.
+#
+# Flipping crossing k negates row r_k, so a diagram's feasible assignments
+# are the regions of the central arrangement {r_k . z = 0}.  By Zaslavsky's
+# theorem (Mem. AMS 154, 1975) the regions number the arrangement's
+# no-broken-circuit (NBC) sets: with the rows in crossing order, the
+# independent sets S in which no row below any s in S lies in the span of
+# the rows of S from s up (Bjorner, Algebra Universalis 1982).  Parallel
+# rows are one hyperplane; the later of two fails that test, so it joins no
+# set.  A set grows in decreasing index, so each of those spans is checked
+# once, when its lowest row joins.
+
+
+def nbc_region_count(rows, tol: float = 1e-9) -> int:
+    """The number of regions of the arrangement {r . z = 0} over ``rows``.
+
+    A row lies in a span when its squared residual against the span is at
+    most ``tol`` times its squared norm: a float rank with a tolerance, for
+    the rows of n-gon walks.  Rows of ``Fraction`` (an object array, as
+    ``exact_height_rows`` gives) with ``tol=0`` give exact ranks, and the
+    count is exact.
+    """
+    rows = np.asarray(rows)
+    floor = tol * (rows * rows).sum(axis=1)
+
+    def count(E, top: int) -> int:
+        # E[j]: row j's residual against the span of the set so far; a row
+        # s < top joins when it has a residual and, once its residual is
+        # projected out, every row j < s still has one
+        E = E[:top]
+        H = E @ E.T
+        d = H.diagonal()
+        free = d > floor[:top]
+        dd = np.where(free, d, 1)
+        left = d[:, None] - H * H / dd[None, :]
+        below = np.tri(top, k=-1, dtype=bool).T  # below[j, s]: j < s
+        joins = free & ~((left <= floor[:top, None]) & below).any(axis=0)
+        return 1 + sum(count(E - np.outer(H[:, s] / d[s], E[s]), s)
+                       for s in np.flatnonzero(joins))
+
+    return count(rows, len(rows))
+
+
+def exact_height_rows(vertices: list[tuple[int, int]]) -> np.ndarray:
+    """The height rows of a clean integer walk's crossings in exact
+    rationals, as an object array: one row per transversal (i, j, t, s)
+    of ``exact_walk_events``, the height on edge i at t minus the height
+    on edge j at s, one column per vertex."""
+    m = len(vertices)
+    transversals, degenerate = exact_walk_events(vertices)
+    assert not degenerate, vertices
+    rows = np.full((len(transversals), m), Fraction(0), dtype=object)
+    for k, (i, j, t, s) in enumerate(transversals):
+        for edge, u, sign in ((i, t, 1), (j, s, -1)):
+            rows[k, edge] += sign * (1 - u)
+            rows[k, (edge + 1) % m] += sign * u
+    return rows
 
 
 # ---------------------------------------------------------------------------

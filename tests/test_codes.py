@@ -59,6 +59,12 @@ def _diagram(n, ordering):
     return diagram_from_ordering(regular_ngon(n), ordering)
 
 
+def _gauss_writhe(d, a):
+    """The writhe summed crossing by crossing off the signed Gauss code,
+    independently of the projection's sign masks."""
+    return sum(e.sign for e in extract_gauss_code(d, a).entries) // 2
+
+
 # ---------------------------------------------------------------------------
 # Assignments and Gauss codes
 
@@ -239,7 +245,7 @@ def test_bracket_table_matches_direct_state_sum():
         a = CrossingAssignment.from_bits(d.n_crossings, bits)
         pd = gauss_to_pd(extract_gauss_code(d, a))
         assert table.bracket(a) == kauffman_bracket(pd)
-        assert table.writhe(a) == diagram_writhe(d, a)
+        assert table.writhe(a) == pd_writhe(pd) == diagram_writhe(d, a)
         assert table.jones(a) == jones(pd, diagram_writhe(d, a))
         assert table.classify(a).label == classify(d, a).label
 
@@ -416,8 +422,9 @@ def test_projection_writhe_is_the_diagram_writhe_on_every_flip(n, ordering):
     assert not d.is_degenerate and 3 <= c <= 10
     projection = BracketTable(d)._projection
     for bits in range(1 << c):
-        assert projection.writhe(bits) == diagram_writhe(
-            d, CrossingAssignment.from_bits(c, bits))
+        a = CrossingAssignment.from_bits(c, bits)
+        assert projection.writhe(bits) == _gauss_writhe(d, a)
+        assert diagram_writhe(d, a) == projection.writhe(bits)
 
 
 def test_projection_writhe_is_the_diagram_writhe_on_the_star():
@@ -426,8 +433,9 @@ def test_projection_writhe_is_the_diagram_writhe_on_the_star():
     rng = random.Random(1000)
     for _ in range(1000):
         bits = rng.randrange(1 << 27)
-        assert projection.writhe(bits) == diagram_writhe(
-            d, CrossingAssignment.from_bits(27, bits))
+        a = CrossingAssignment.from_bits(27, bits)
+        assert projection.writhe(bits) == _gauss_writhe(d, a)
+        assert diagram_writhe(d, a) == projection.writhe(bits)
 
 
 def test_tables_and_classify_share_one_plan_per_diagram(plan_builds):
@@ -734,15 +742,27 @@ def test_mirror_of_each_reference_class_is_its_mirrored_jones_class():
     assert codes.OTHER.mirror() == codes.OTHER
 
 
-def test_table_classifies_bits_as_their_assignment():
-    d = _diagram(8, OCTAGRAM)
-    table = BracketTable(d)
-    for bits in random.Random(22).sample(range(1 << 16), 20):
-        assert table.classify_bits(bits) == table.classify(
-            CrossingAssignment.from_bits(16, bits))
-    for bits in (-1, 1 << 16):
+def test_assignment_round_trips_through_its_bits():
+    # an assignment holds its crossing count and bits; the constructor
+    # from one bool per crossing, from_bits and over_a agree, and only
+    # from_bits checks the bits' range (70 crossings overflow an int64)
+    rng = random.Random(22)
+    for c in (0, 1, 16, 70):
+        for bits in (0, (1 << c) - 1, rng.randrange(1 << c)):
+            a = CrossingAssignment.from_bits(c, bits)
+            over = tuple(bool(bits >> k & 1) for k in range(c))
+            assert (a.n_crossings, a.bits, len(a), a.over_a) == (c, bits, c, over)
+            assert CrossingAssignment(over) == CrossingAssignment(list(over)) == a
+            assert hash(CrossingAssignment(over)) == hash(a)
+            assert a.flipped().over_a == tuple(not o for o in over)
+            assert a.flipped().flipped() == a
+            assert a != CrossingAssignment.from_bits(c + 1, bits)
+            assert repr(a) == f"CrossingAssignment(n_crossings={c}, bits={bits})"
+            with pytest.raises(AttributeError):
+                a.bits = 0
+    for c, bits in ((16, -1), (16, 1 << 16), (0, 1)):
         with pytest.raises(InvalidParameterError, match="out of range"):
-            table.classify_bits(bits)
+            CrossingAssignment.from_bits(c, bits)
 
 
 def test_alternating_assignment_existence():

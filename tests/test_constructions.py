@@ -1,5 +1,6 @@
 """Named constructions, selection sweep, exhaustive censuses."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -287,6 +288,45 @@ def test_census_catalog_round_trip(tmp_path):
     cat.write_jsonl(path)
     back = SearchCatalog.read_jsonl(path)
     assert back == cat
+
+
+#: The census of each n as recorded before assignments held their bits:
+#: (classes, degenerate, crossingless), the orbit-weighted count of each
+#: label, and the SHA-256 of ``write_jsonl``.  A change that means to
+#: change a census updates its entry and logs the per-label diff.
+CENSUS_PINS = {
+    5: ((4, 0, 2), {"unknot": 52},
+        "8801d8608a6f0e95c5cc1e8fdc4a8ad88d49eebd1233517020cb83b6593f8e67"),
+    6: ((12, 0, 11), {"unknot": 132},
+        "21132cd1bc289accddee2a61bd9be16d487dc6017cf9618f3e66630cd9b93930"),
+    7: ((39, 3, 12), {
+        "figure_eight": 56, "trefoil_left": 140, "trefoil_right": 140,
+        "unknot": 2774},
+        "bab06a406a67a41237ac95a962af6ac208c594b9f95bc153cd321ef15b533042"),
+    8: ((202, 0, 136), {
+        "cinquefoil_left": 16, "cinquefoil_right": 16, "figure_eight": 288,
+        "other": 224, "three_twist_left": 64, "three_twist_right": 64,
+        "trefoil_left": 600, "trefoil_right": 600, "unknot": 12958},
+        "61e02203f8dcf77b705acb161867af64b41cb3638310ea24a5960d8da7faa32d"),
+}
+
+
+def test_census_matches_its_pins(heptagon_census, octagon_census, tmp_path):
+    for catalog in (search_ngon(5), search_ngon(6), heptagon_census,
+                    octagon_census):
+        counts, labels, digest = CENSUS_PINS[catalog.n]
+        records = catalog.records
+        assert (len(records), sum(r.degenerate for r in records),
+                sum(not r.degenerate and not r.crossings for r in records)
+                ) == counts
+        weighted = Counter()
+        for r in records:
+            for label in r.classes:
+                weighted[label] += r.orbit
+        assert weighted == labels
+        path = tmp_path / f"census{catalog.n}.jsonl"
+        catalog.write_jsonl(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_census_rejects_large_n():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from stickknots.geometry import (
+    InvalidParameterError,
     Ordering,
     diagram_from_ordering,
     regular_ngon,
@@ -39,7 +40,10 @@ from stickknots.constructions import (
 
 from conftest import (
     brute_feasible_assignments,
+    exact_height_rows,
+    exact_walk_events,
     fm_feasible,
+    nbc_region_count,
     near_regular_hexagon,
     random_integer_walk,
     src_env,
@@ -387,8 +391,48 @@ def test_twenty_crossing_diagram_is_not_refused(monkeypatch):
     solves = _count_solves(monkeypatch)
     feas = feasible_assignments(d)
     assert len(feas) == 14_728
+    assert nbc_region_count(_base_rows(d)) == len(feas)
     assert len(solves) <= 6_000
     _assert_certified(d, feas)
+
+
+def _base_rows(d):
+    return constraints_from_assignment(
+        d, CrossingAssignment.from_bits(d.n_crossings, 0)).rows
+
+
+def test_census_walks_find_every_cell(heptagon_census, octagon_census):
+    # each clean class's feasible count, as the walk found it, is the
+    # region count of its arrangement, which walks no cell
+    checked = 0
+    for catalog in (heptagon_census, octagon_census):
+        vs = regular_ngon(catalog.n)
+        for r in catalog.records:
+            if not r.degenerate:
+                d = diagram_from_ordering(vs, Ordering(r.ordering))
+                assert nbc_region_count(_base_rows(d)) == r.feasible, r
+                checked += 1
+    assert checked == 36 + 202
+
+
+def test_walked_cells_are_the_exact_region_count_on_integer_walks():
+    # integer walks have exact rational rows, so their region count is
+    # exact; 12 of these 25 have exactly dependent rows (fewer regions than
+    # rows in general position); the walked half and its total flips
+    # number the regions, and the float count agrees
+    rng = random.Random(14)
+    checked = 0
+    while checked < 25:
+        verts = random_integer_walk(rng, rng.randint(7, 11))
+        d = detect_crossings(walk_from_integer_vertices(verts))
+        if (d.is_degenerate or d.walk.n_edges != len(verts)
+                or exact_walk_events(verts)[1]
+                or not 4 <= d.n_crossings <= 12):
+            continue
+        exact = nbc_region_count(exact_height_rows(verts), tol=0)
+        assert 2 * len(heights.feasible_cells(d)[0]) == exact, verts
+        assert nbc_region_count(_base_rows(d)) == exact, verts
+        checked += 1
 
 
 def test_seven_gon_census_solves_few_lps(monkeypatch):
@@ -564,9 +608,24 @@ def test_corner_crossing_puts_weight_on_the_corner():
     assert row[corner] == pytest.approx(-1.0)  # the full under weight
 
 
+def test_split_vertices_outside_the_walk_raise():
+    # a split vertex the walk lacks would leave every row unsplit; each
+    # entry that takes split vertices refuses it with one message
+    d = diagram_from_ordering(regular_ngon(5), PENTAGRAM)
+    a = alternating_assignment(d)
+    for splits in (frozenset({99, -1}), frozenset({7}), frozenset({0, 5})):
+        for call in (lambda: height_variable_map(d, splits),
+                     lambda: constraints_from_assignment(d, a, splits),
+                     lambda: heights.feasible_cells(d, splits),
+                     lambda: feasible_assignments(d, splits),
+                     lambda: vertical_stick_augmentation(d, splits)):
+            with pytest.raises(InvalidParameterError,
+                               match="outside walk of 5 vertices"):
+                call()
+
+
 def test_vertical_stick_augmentation_validates_vertices():
     d = diagram_from_ordering(regular_ngon(5), PENTAGRAM)
-    from stickknots.geometry import InvalidParameterError
     with pytest.raises(InvalidParameterError):
         vertical_stick_augmentation(d, frozenset({9}))
 

@@ -4,7 +4,7 @@ no other module reads, or gives a function a parameter that its body
 neither reads nor deletes; only ``heights._lp_model`` builds a HiGHS
 model or sets its options; no module imports ``scipy.optimize`` outside
 ``heights``'s type-checking block; and the benchmark tracer finds every
-function it names."""
+function it names and sees every census label."""
 
 import ast
 import importlib.util
@@ -291,17 +291,41 @@ def test_no_scipy_optimize_import():
     assert scipy_optimize_imports(sources) == []
 
 
-def test_tracer_patches_and_restores_every_layer_function():
-    # bench/tracing.py finds each traced function by name, so a rename in
-    # src/ fails here rather than in a benchmark run
+def _tracing():
+    """bench/tracing.py, loaded from its file, with every package module
+    it traces imported."""
     spec = importlib.util.spec_from_file_location(
         "tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for name in tracing.LAYER_FUNCTIONS:
         importlib.import_module(f"{tracing.PACKAGE}.{name.split('.')[0]}")
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_tracer_patches_and_restores_every_layer_function():
+    # bench/tracing.py finds each traced function by name, so a rename in
+    # src/ fails here rather than in a benchmark run
+    tracer = _tracing().Tracer()
     try:
         tracer.install()
     finally:
         assert tracer.restore()
+
+
+def test_traced_census_labels_every_walked_cell_through_classify():
+    # the census labels each walked cell with BracketTable.classify, so a
+    # traced census counts one span per walked cell: half of a clean
+    # class's feasible assignments, or its one cell without crossings
+    from stickknots.constructions import search_ngon
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+        catalog = search_ngon(7)
+    finally:
+        assert tracer.restore()
+    spans = sum(name == "codes.BracketTable.classify"
+                for name, *_ in tracer.spans)
+    walked = sum(r.feasible // 2 if r.crossings else 1
+                 for r in catalog.records if not r.degenerate)
+    assert spans == walked == 347
