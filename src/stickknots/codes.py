@@ -20,6 +20,10 @@ digits, with the writhe normalization folded in, as the Jones polynomial's
 (exponent, coefficient) pairs.  A diagram's over/under choices, and a
 triple closure scheme's, are flips of one *projection*: a PD code with
 every first strand under, each crossing's writhe sign in it, and its plan.
+The projection keeps the layers of its last flip's evaluation, so a flip
+resumes at the first plan step whose crossing it changes, and flips sorted
+in the plan's crossing order (``BracketTable.plan_order``) share the work
+of their common prefix.
 A flip is labelled among the small types (unknot, 3_1, 4_1, 5_1, 5_2)
 that the stick constructions can produce by one lookup of its packed
 bracket, undecoded, among reference polynomials computed in-process from
@@ -31,13 +35,14 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import (EPS_DEFAULT, Degeneracy, Diagram, InvalidParameterError,
-                       Walk, detect_crossings)
+from .geometry import (EPS_DEFAULT, Diagram, InvalidParameterError, Vec2,
+                       Walk, _pair_scan, _retraces)
 
 __all__ = [
     "CrossingAssignment",
@@ -393,7 +398,8 @@ def _contraction_plan(pd: PDCode) -> tuple[_Step, ...]:
     return tuple(steps)
 
 
-def _evaluate(plan: tuple[_Step, ...], flip: int) -> int:
+def _evaluate(plan: tuple[_Step, ...], flip: int,
+              path: Optional[list[list[int]]] = None) -> int:
     """Packed Kauffman bracket of a contraction plan's PD code under ``flip``.
 
     Bit k of ``flip`` swaps the A and B smoothings at crossing k, which is
@@ -408,11 +414,19 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> int:
     decode exactly: their absolute sum is at most 2^c * 2^(loops - 1) <
     2^(3c) < 2^(w - 1), so each digit read in [-2^(w-1), 2^(w-1)) is the
     coefficient itself.  A crossingless plan gives 1, the one loop.
+
+    ``path`` holds the layers pushed so far, layer i being the state values
+    before step i: the evaluation starts at step len(path) - 1 from the
+    last layer (from step 0 when the path is empty or not given), appends
+    each layer it makes, and leaves c + 1 layers.
     """
-    c = len(plan)
-    w = _digit_width(c)
-    values = [1 << 2 * c * w]
-    for k, n_states, tables in plan:
+    if path is None:
+        path = []
+    if not path:
+        c = len(plan)
+        path.append([1 << 2 * c * _digit_width(c)])
+    values = path[-1]
+    for k, n_states, tables in plan[len(path) - 1:]:
         grown = [0] * n_states
         for (a_child, a_mul, a_shift, b_child, b_mul, b_shift), value in zip(
                 tables[flip >> k & 1], values):
@@ -420,6 +434,7 @@ def _evaluate(plan: tuple[_Step, ...], flip: int) -> int:
                                else value << a_shift)
             grown[b_child] += (value * b_mul >> b_shift if b_mul
                                else value << b_shift)
+        path.append(grown)
         values = grown
     return values[0]
 
@@ -585,14 +600,36 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 # Stick counting
 
 
-def _touches_chord(g: Degeneracy) -> bool:
-    """Whether a contact involves vertex 0 or 1, or edge 0, of its walk
-    (a walk with no retrace pairs)."""
-    if g.kind == "vertex_on_edge":
-        return g.involved[0] < 2 or g.involved[1] == 0
-    if g.kind == "vertex_coincidence":
-        return g.involved[0] < 2  # involved vertices are sorted
-    return g.involved[0] == 0  # collinear_overlap: sorted edges
+def _chord_is_clear(verts: list[Vec2], i: int, eps: float) -> bool:
+    """Whether the chord from vertex i to vertex i + 2 of a closed walk of
+    4 or more vertices, collapsed as ``detect_crossings`` leaves it, may
+    replace the two edges between them.
+
+    The chord is edge 0 of the walk with vertex i + 1 cut out, rotated to
+    start at vertex i.  Only the chord's two corners can retrace, and only
+    the pairs of edges m - 1, 0 and 1 of the cut walk can meet edge 0 or
+    its endpoints.  The chord is clear when it is longer than eps, neither
+    corner retraces, and the scan of those pairs (``geometry._pair_scan``,
+    the scan of ``detect_crossings``) finds no crossing on edge 0, no
+    overlap of it, and no contact on it or at its endpoints.
+    """
+    mm = len(verts)
+    cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
+    if ((cut[1] - cut[0]).norm() <= eps
+            or _retraces(cut[-1], cut[0], cut[1], eps)
+            or _retraces(cut[0], cut[1], cut[2], eps)):
+        return False
+    last = mm - 2  # the cut walk's edge m - 1
+    rows = [(0, range(2, last)), (1, range(3, last + 1))]
+    rows += [(j, (last,)) for j in range(2, last - 1)]
+    crossings, overlaps, contacts = _pair_scan(
+        Walk(tuple(cut) + (cut[0],)), rows, eps)
+    # a crossing or an overlap lists its lower edge first, a coincidence its
+    # vertices sorted, and a vertex_on_edge its vertex first
+    return not (any(c.edge_a == 0 for c in crossings)
+                or any(g.involved[0] == 0 for g in overlaps)
+                or any(inv[0] < 2 or kind == "vertex_on_edge" and inv[1] == 0
+                       for kind, inv in contacts))
 
 
 def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
@@ -601,14 +638,9 @@ def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
     Two cyclically consecutive edges merge when neither is incident to any
     crossing and the straight chord replacing them intersects nothing else
     in the diagram (so the merged polygon realizes the same knot with one
-    stick fewer); merging repeats until blocked.  A closed polygon never
-    drops below 3 edges.  Edges carrying a crossing at their far vertex
-    (parameter 1.0) block both edges at that corner.
-
-    A chord is tested by ``detect_crossings`` on the walk with the middle
-    vertex cut out, rotated so that the chord is edge 0: the chord is clear
-    when that walk collapses no retrace, no crossing involves edge 0, and no
-    contact involves edge 0 or its endpoints.
+    stick fewer, ``_chord_is_clear``); merging repeats until blocked.  A
+    closed polygon never drops below 3 edges.  Edges carrying a crossing at
+    their far vertex (parameter 1.0) block both edges at that corner.
     """
     m = d.walk.n_edges
     blocked = set()
@@ -620,22 +652,13 @@ def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
     verts = [d.walk.vertex(i) for i in range(m)]
     flags = [e in blocked for e in range(m)]
 
-    def chord_is_clear(i: int) -> bool:
-        mm = len(verts)
-        cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
-        if (cut[1] - cut[0]).norm() <= eps:
-            return False
-        cd = detect_crossings(Walk(tuple(cut) + (cut[0],)), eps)
-        return (cd.walk.n_edges == mm - 1
-                and all(c.edge_a for c in cd.crossings)
-                and not any(map(_touches_chord, cd.degeneracies)))
-
     changed = True
     while changed and len(verts) > 3:
         changed = False
         mm = len(verts)
         for i in range(mm):
-            if not flags[i] and not flags[(i + 1) % mm] and chord_is_clear(i):
+            if (not flags[i] and not flags[(i + 1) % mm]
+                    and _chord_is_clear(verts, i, eps)):
                 del verts[(i + 1) % mm]
                 del flags[(i + 1) % mm]
                 changed = True
@@ -685,14 +708,35 @@ class _Projection:
     """A PD code with every first strand under, each crossing's writhe sign
     in that code, and its contraction plan, built on the first bracket.
     Bit k of a flip puts crossing k's first strand over, which swaps its A
-    and B smoothings and negates its sign."""
+    and B smoothings and negates its sign.
+
+    The projection keeps one path: the flip it bracketed last and the
+    c + 1 layers of state values ``_evaluate`` made for it.  The layers
+    before a step depend only on the bits of the crossings of the steps
+    before it, so the next flip resumes at the first step whose crossing
+    it changes.  Flips sorted by ``BracketTable.plan_order`` share the
+    longest such prefixes.
+    """
 
     def __init__(self, g: GaussCode) -> None:
         self.pd = gauss_to_pd(g)
         self.positive = sum({1 << e.crossing for e in g.entries if e.sign > 0})
         self.negative = sum({1 << e.crossing for e in g.entries if e.sign < 0})
         self.base_writhe = self.positive.bit_count() - self.negative.bit_count()
-        self.plan: Optional[tuple[_Step, ...]] = None
+        self.flip = 0
+        self.path: list[list[int]] = []
+        self._plan: Optional[tuple[_Step, ...]] = None
+        self.prefixes: list[int] = []
+
+    @property
+    def plan(self) -> tuple[_Step, ...]:
+        """The contraction plan, built on first use with ``prefixes``: for
+        each step i, the crossings of steps 0..i as a bit mask."""
+        if self._plan is None:
+            self._plan = _contraction_plan(self.pd)
+            self.prefixes = list(itertools.accumulate(
+                1 << k for k, _, _ in self._plan))
+        return self._plan
 
     def writhe(self, flip: int) -> int:
         """Base writhe, -2 per flipped positive and +2 per flipped negative."""
@@ -700,10 +744,18 @@ class _Projection:
                                        - (flip & self.negative).bit_count())
 
     def packed(self, flip: int) -> int:
-        """``_evaluate`` of the flip's bracket."""
-        if self.plan is None:
-            self.plan = _contraction_plan(self.pd)
-        return _evaluate(self.plan, flip)
+        """``_evaluate`` of the flip's bracket, resumed along the path: the
+        layers up to the first step whose crossing the flip changes stay.
+        Unrelated flips change an early step, so the scan stops early."""
+        plan = self.plan
+        changed, keep = flip ^ self.flip, 1
+        for prefix in self.prefixes:
+            if changed & prefix:
+                break
+            keep += 1
+        del self.path[keep:]
+        self.flip = flip
+        return _evaluate(plan, flip, self.path)
 
     def decoded(self, flip: int, writhe: int) -> tuple[tuple[int, int], ...]:
         """``_decode`` of the flip's bracket, normalized for ``writhe``."""
@@ -751,3 +803,15 @@ class BracketTable:
     def classify(self, a: CrossingAssignment) -> KnotClass:
         _check_assignment(self.diagram, a)
         return self._projection.label(a.bits)
+
+    def plan_order(self, bits: int) -> int:
+        """Sort key for assignment bits: classified in this order, each
+        assignment resumes the bracket of the one before it at the first
+        contraction step whose crossing it changes.  Below 3 crossings,
+        where ``classify`` builds no plan, the bits themselves."""
+        if self.diagram.n_crossings < 3:
+            return bits
+        key = 0  # the bits in the plan's step order, step 0's the highest
+        for k, _, _ in self._projection.plan:
+            key = key << 1 | bits >> k & 1
+        return key

@@ -576,7 +576,7 @@ def search_ngon(n: int, symmetry_reduce: bool = True,
             continue
         table = BracketTable(d)
         kinds = [table.classify(CrossingAssignment.from_bits(d.n_crossings, b))
-                 for b in feasible_cells(d)[0]]
+                 for b in sorted(feasible_cells(d)[0], key=table.plan_order)]
         if d.n_crossings:  # each walked cell's total flip: its mirror image
             kinds += [k.mirror() for k in kinds]
         labels = sorted(k.label for k in kinds)

@@ -537,13 +537,7 @@ def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
         changed = False
         m = len(verts)
         for i in range(m):
-            a, b, c = verts[i], verts[(i + 1) % m], verts[(i + 2) % m]
-            gap = math.hypot(a.x - c.x, a.y - c.y)
-            step = math.hypot(a.x - b.x, a.y - b.y)
-            if gap + step == math.inf:
-                raise InvalidParameterError(
-                    "vertex differences overflowed: non-finite components")
-            if gap <= eps and step > eps:
+            if _retraces(verts[i], verts[(i + 1) % m], verts[(i + 2) % m], eps):
                 degs.append(Degeneracy(
                     kind="retrace_pair",
                     involved=(i, (i + 1) % m),
@@ -560,6 +554,17 @@ def _collapse_retraces(walk: Walk, eps: float) -> tuple[Walk, list[Degeneracy]]:
     else:
         collapsed = Walk((Vec2(0.0, 0.0), Vec2(0.0, 0.0)))
     return collapsed, degs
+
+
+def _retraces(a: Vec2, b: Vec2, c: Vec2, eps: float) -> bool:
+    """Whether the edges a-b and b-c retrace each other: the walk steps
+    more than eps away from a and comes back within eps of it."""
+    gap = math.hypot(a.x - c.x, a.y - c.y)
+    step = math.hypot(a.x - b.x, a.y - b.y)
+    if gap + step == math.inf:
+        raise InvalidParameterError(
+            "vertex differences overflowed: non-finite components")
+    return gap <= eps and step > eps
 
 
 class _Strand(NamedTuple):
@@ -669,6 +674,76 @@ def _contacts_at(walk: Walk, i: int, j: int, point: Vec2,
             + [("vertex_on_edge", (b, i)) for b in near_j])
 
 
+_Contact = tuple[str, tuple[int, int]]
+
+
+def _pair_scan(walk: Walk, rows: Iterable[tuple[int, Iterable[int]]],
+               eps: float) -> tuple[list[Crossing], list[Degeneracy],
+                                    set[_Contact]]:
+    """Intersect the edge pairs of a collapsed walk of 3 or more edges that
+    ``rows`` names: each row is an edge i and the edges j > i, none adjacent
+    to it, to pair it with.  Returns the transversals as crossings, the
+    collinear overlaps, and the contacts (``_contacts_at``) that vertex
+    contacts stand for; a flat triangle adds its vertex inside the opposite
+    edge.  The contacts are not yet resolved.
+    """
+    m, verts = walk.n_edges, walk.vertices
+    # Broad phase: skip a pair whose padded boxes are apart.  An accepted
+    # pair has, in exact arithmetic, points of its two edges within 2*eps.
+    # Rounding adds up to ~40*u*S (u the unit roundoff, S the largest
+    # |coordinate|), which the transversal branch divides by the lines' sine,
+    # over eps/2 when eps > 16*u.  So the pad covers 2*eps + 160*u*S/eps, and
+    # it spans the walk when eps <= 16*u.  Edges shorter than eps, and all
+    # edges once the cross products overflow, get unbounded boxes: they raise.
+    scale = max(max(abs(v.x), abs(v.y)) for v in verts)
+    pad = (eps + 64.0 * sys.float_info.epsilon * scale * (1.0 + 1.0 / eps)
+           if math.isfinite(8.0 * scale * scale) else math.inf)
+    boxes = [(min(p.x, q.x) - pad, max(p.x, q.x) + pad,
+              min(p.y, q.y) - pad, max(p.y, q.y) + pad)
+             if math.hypot(q.x - p.x, q.y - p.y) > eps
+             else (-math.inf, math.inf, -math.inf, math.inf)
+             for p, q in zip(verts, verts[1:])]
+
+    transversals: list[Crossing] = []
+    overlaps: list[Degeneracy] = []
+    contacts: set[_Contact] = set()
+    for i, partners in rows:
+        x0, x1, y0, y1 = boxes[i]
+        for j in partners:
+            a0, a1, b0, b1 = boxes[j]
+            if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
+                continue
+            res = segment_intersection(verts[i], verts[i + 1], verts[j],
+                                       verts[j + 1], eps)
+            if res is None:
+                continue
+            if isinstance(res, Transversal):
+                transversals.append(_crossing(_strand(walk, i, res.t),
+                                              _strand(walk, j, res.s),
+                                              res.point))
+            elif res.kind == "collinear_overlap":
+                overlaps.append(Degeneracy("collinear_overlap", (i, j),
+                                           "unresolved"))
+            else:
+                contacts.update(_contacts_at(walk, i, j, res.point, eps))
+    if m == 3:
+        # A triangle has no non-adjacent edge pair, yet a flat one has a
+        # vertex inside its opposite edge.
+        for v in range(3):
+            e = (v + 1) % 3
+            ln = walk.edge_vec(e).norm()
+            s = _vertex_on_edge_param(walk, v, e)
+            if math.isnan(s):  # inf / inf
+                raise InvalidParameterError(
+                    "the vertex-on-edge test's dot products overflowed: "
+                    "non-finite edge parameter; coordinates near 1e154 or "
+                    "beyond are too large")
+            off = (walk.point_on_edge(e, s) - walk.vertex(v)).norm()
+            if off <= eps and eps < s * ln < ln - eps:
+                contacts.add(("vertex_on_edge", (v, e)))
+    return transversals, overlaps, contacts
+
+
 def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     """Find all crossings of a closed walk, resolving degenerate contacts.
 
@@ -687,61 +762,9 @@ def detect_crossings(walk: Walk, eps: float = EPS_DEFAULT) -> Diagram:
     m = collapsed.n_edges
     if m < 3:
         return Diagram(walk=collapsed, crossings=(), degeneracies=tuple(degs))
-
-    # Broad phase: skip a pair whose padded boxes are apart.  An accepted
-    # pair has, in exact arithmetic, points of its two edges within 2*eps.
-    # Rounding adds up to ~40*u*S (u the unit roundoff, S the largest
-    # |coordinate|), which the transversal branch divides by the lines' sine,
-    # over eps/2 when eps > 16*u.  So the pad covers 2*eps + 160*u*S/eps, and
-    # it spans the walk when eps <= 16*u.  Edges shorter than eps, and all
-    # edges once the cross products overflow, get unbounded boxes: they raise.
-    verts = collapsed.vertices
-    scale = max(max(abs(v.x), abs(v.y)) for v in verts)
-    pad = (eps + 64.0 * sys.float_info.epsilon * scale * (1.0 + 1.0 / eps)
-           if math.isfinite(8.0 * scale * scale) else math.inf)
-    boxes = [(min(p.x, q.x) - pad, max(p.x, q.x) + pad,
-              min(p.y, q.y) - pad, max(p.y, q.y) + pad)
-             if math.hypot(q.x - p.x, q.y - p.y) > eps
-             else (-math.inf, math.inf, -math.inf, math.inf)
-             for p, q in zip(verts, verts[1:])]
-
-    transversals: list[Crossing] = []
-    overlaps: list[Degeneracy] = []
-    contacts: set[tuple[str, tuple[int, int]]] = set()
-    for i in range(m):
-        x0, x1, y0, y1 = boxes[i]
-        for j in range(i + 2, m - (i == 0)):  # edges 0, m - 1 are adjacent
-            a0, a1, b0, b1 = boxes[j]
-            if a0 > x1 or a1 < x0 or b0 > y1 or b1 < y0:
-                continue
-            res = segment_intersection(verts[i], verts[i + 1], verts[j],
-                                       verts[j + 1], eps)
-            if res is None:
-                continue
-            if isinstance(res, Transversal):
-                transversals.append(_crossing(_strand(collapsed, i, res.t),
-                                              _strand(collapsed, j, res.s),
-                                              res.point))
-            elif res.kind == "collinear_overlap":
-                overlaps.append(Degeneracy("collinear_overlap", (i, j),
-                                           "unresolved"))
-            else:
-                contacts.update(_contacts_at(collapsed, i, j, res.point, eps))
-    if m == 3:
-        # A triangle has no non-adjacent edge pair, yet a flat one has a
-        # vertex inside its opposite edge.
-        for v in range(3):
-            e = (v + 1) % 3
-            ln = collapsed.edge_vec(e).norm()
-            s = _vertex_on_edge_param(collapsed, v, e)
-            if math.isnan(s):  # inf / inf
-                raise InvalidParameterError(
-                    "the vertex-on-edge test's dot products overflowed: "
-                    "non-finite edge parameter; coordinates near 1e154 or "
-                    "beyond are too large")
-            off = (collapsed.point_on_edge(e, s) - collapsed.vertex(v)).norm()
-            if off <= eps and eps < s * ln < ln - eps:
-                contacts.add(("vertex_on_edge", (v, e)))
+    # edges 0 and m - 1 are adjacent
+    transversals, overlaps, contacts = _pair_scan(
+        collapsed, ((i, range(i + 2, m - (i == 0))) for i in range(m)), eps)
 
     # Sorting puts coincidences before vertex-on-edge contacts (by name),
     # each ordered by the vertices and edges involved.

@@ -20,6 +20,8 @@ from stickknots import codes
 from stickknots.codes import CrossingAssignment
 from stickknots.constructions import search_ngon
 from stickknots.geometry import (
+    EPS_DEFAULT,
+    Degeneracy,
     DegenerateContact,
     Diagram,
     InvalidParameterError,
@@ -28,6 +30,7 @@ from stickknots.geometry import (
     Vec2,
     VectorSet,
     Walk,
+    detect_crossings,
     diagram_from_ordering,
 )
 from stickknots.heights import (
@@ -387,6 +390,35 @@ def _exact_meet(p0, p1, q0, q1, neighbours: bool) -> bool:
     b1 = b0 + Fraction(s_[0] * r[0] + s_[1] * r[1], rr)
     lo, hi = max(min(b0, b1), 0), min(max(b0, b1), 1)
     return hi > lo if neighbours else hi >= lo
+
+
+def _touches_chord(g: Degeneracy) -> bool:
+    """Whether a contact involves vertex 0 or 1, or edge 0, of its walk
+    (a walk with no retrace pairs)."""
+    if g.kind == "vertex_on_edge":
+        return g.involved[0] < 2 or g.involved[1] == 0
+    if g.kind == "vertex_coincidence":
+        return g.involved[0] < 2  # involved vertices are sorted
+    return g.involved[0] == 0  # collinear_overlap: sorted edges
+
+
+def cut_walk_chord_is_clear(verts: list[Vec2], i: int,
+                            eps: float = EPS_DEFAULT) -> bool:
+    """``codes._chord_is_clear`` decided by a whole ``detect_crossings``.
+
+    The walk with vertex i + 1 cut out, rotated so that the chord is edge
+    0, is detected whole: the chord is clear when that walk collapses no
+    retrace, no crossing involves edge 0, and no contact involves edge 0
+    or its endpoints.
+    """
+    mm = len(verts)
+    cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
+    if (cut[1] - cut[0]).norm() <= eps:
+        return False
+    cd = detect_crossings(Walk(tuple(cut) + (cut[0],)), eps)
+    return (cd.walk.n_edges == mm - 1
+            and all(c.edge_a for c in cd.crossings)
+            and not any(map(_touches_chord, cd.degeneracies)))
 
 
 def exact_merged_sticks(vertices: list[tuple[int, int]]) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from stickknots import codes
 from stickknots.geometry import (
+    EPS_DEFAULT,
     Diagram,
     Ordering,
     diagram_from_ordering,
@@ -40,7 +41,9 @@ from stickknots.codes import (
 )
 
 from conftest import (
+    cut_walk_chord_is_clear,
     exact_merged_sticks,
+    exact_vertex_contacts,
     exact_walk_events,
     random_integer_walk,
     state_sum_bracket,
@@ -53,6 +56,7 @@ PENTAGRAM = Ordering((0, 3, 1, 4, 2))
 FIGURE_EIGHT_8GON = Ordering((0, 2, 4, 7, 1, 6, 3, 5))
 OCTAGRAM = Ordering((0, 3, 6, 1, 4, 7, 2, 5))
 STAR_9_4 = Ordering((0, 4, 8, 3, 7, 2, 6, 1, 5))
+TEN_CROSSING_9GON = Ordering((0, 1, 4, 5, 8, 3, 7, 2, 6))
 
 
 def _diagram(n, ordering):
@@ -523,6 +527,56 @@ def test_table_brackets_do_not_depend_on_call_order():
         assert [second.bracket(a) for a in assignments] == forward
 
 
+def test_resumed_brackets_equal_fresh_evaluations():
+    # every flip of a 10-crossing class, each twice, shuffled, one run of
+    # repeats, and labelled through two tables that share one projection
+    d = _diagram(9, TEN_CROSSING_9GON)
+    c = d.n_crossings
+    assert c == 10 and not d.is_degenerate
+    first, second = BracketTable(d), BracketTable(d)
+    projection = first._projection
+    assert second._projection is projection
+    flips = list(range(1 << c)) * 2
+    random.Random(10).shuffle(flips)
+    flips[100:100] = [flips[99]] * 3
+    for i, flip in enumerate(flips):
+        packed = codes._evaluate(projection.plan, flip)
+        a = CrossingAssignment.from_bits(c, flip)
+        table = (first, second)[i % 3 == 0]
+        assert table.bracket(a) == LaurentPoly(dict(codes._decode(packed, c, 0)))
+        assert table.classify(a) == codes._packed_reference(
+            c, projection.writhe(flip)).get(packed, codes.OTHER)
+        assert projection.flip == flip and len(projection.path) == c + 1
+
+
+def test_resumed_star_brackets_equal_fresh_evaluations():
+    d = _diagram(9, STAR_9_4)
+    table = BracketTable(d)
+    projection = table._projection
+    rng = random.Random(94)
+    flips = [rng.randrange(1 << 27) for _ in range(1000)]
+    fresh = {flip: codes._evaluate(projection.plan, flip) for flip in flips}
+    shuffled = flips[:]
+    rng.shuffle(shuffled)
+    for order in (sorted(flips, key=table.plan_order), shuffled):
+        assert [projection.packed(flip) for flip in order] \
+            == [fresh[flip] for flip in order]
+
+
+def test_plan_order_reads_the_bits_in_the_plan_order(plan_builds):
+    d = _diagram(8, OCTAGRAM)
+    table = BracketTable(d)
+    steps = [k for k, _, _ in table._projection.plan]
+    assert sorted(steps) == list(range(16))
+    for bits in random.Random(8).sample(range(1 << 16), 50):
+        assert table.plan_order(bits) == int(
+            "".join(str(bits >> k & 1) for k in steps), 2)
+    kink = detect_crossings(walk_from_integer_vertices(
+        [(0, 0), (4, 0), (4, 2), (2, 2), (2, -2), (0, -2)]))
+    assert [BracketTable(kink).plan_order(b) for b in (0, 1)] == [0, 1]
+    assert plan_builds == [table._projection.pd]  # none below 3 crossings
+
+
 # ---------------------------------------------------------------------------
 # The bracket engine against the exact 2^c state sum
 
@@ -711,6 +765,61 @@ def test_merged_sticks_match_exact_oracle_on_random_walks():
             assert merge_crossingless_runs(d) == exact_merged_sticks(verts), \
                 (span, verts)
     assert checked >= 1000
+
+
+def _agreeing_chord_test(monkeypatch):
+    """Route ``merge_crossingless_runs``'s chord test through both the pair
+    scan and the cut-walk oracle, asserting that they agree; returns the
+    checking test and the list of its verdicts."""
+    scan, verdicts = codes._chord_is_clear, []
+
+    def both(verts, i, eps):
+        got = scan(verts, i, eps)
+        assert got == cut_walk_chord_is_clear(verts, i, eps), (verts, i)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(codes, "_chord_is_clear", both)
+    return both, verdicts
+
+
+def _check_every_chord(check, d):
+    """Every chord of a diagram's walk, then every chord its merges test."""
+    verts = list(d.walk.vertices[:-1])
+    for i in range(len(verts) if len(verts) > 3 else 0):
+        check(verts, i, EPS_DEFAULT)
+    merge_crossingless_runs(d)
+
+
+def test_chord_scan_agrees_with_the_cut_walk_oracle_on_every_class(
+        monkeypatch):
+    from stickknots.constructions import canonical_ordering_classes
+    check, verdicts = _agreeing_chord_test(monkeypatch)
+    for n in range(5, 10):
+        vs = regular_ngon(n)
+        for ordering, _ in canonical_ordering_classes(n):
+            d = diagram_from_ordering(vs, ordering)
+            if not d.is_degenerate:
+                _check_every_chord(check, d)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_chord_scan_agrees_with_the_cut_walk_oracle_on_walks_with_contacts(
+        monkeypatch):
+    # walks with a vertex contact, which exact_merged_sticks refuses
+    check, verdicts = _agreeing_chord_test(monkeypatch)
+    walks = 0
+    for span in (1, 2, 3):
+        rng = random.Random(40 + span)
+        for _ in range(300):
+            verts = random_integer_walk(rng, rng.randint(5, 10), span)
+            if not exact_vertex_contacts(verts)[0]:
+                continue
+            walks += 1
+            _check_every_chord(
+                check, detect_crossings(walk_from_integer_vertices(verts)))
+    assert walks >= 300
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
 
 
 def test_merged_sticks_never_beat_stick_number():

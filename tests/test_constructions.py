@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from stickknots import constructions, heights
+from stickknots import codes, constructions, heights
 from stickknots.geometry import (
     EPS_DEFAULT,
     InvalidParameterError,
@@ -21,8 +21,10 @@ from stickknots.geometry import (
 )
 from stickknots.codes import (
     BracketTable,
+    CrossingAssignment,
     alternating_assignment,
     classify,
+    extract_gauss_code,
     merge_crossingless_runs,
 )
 from stickknots.heights import (
@@ -327,6 +329,27 @@ def test_census_matches_its_pins(heptagon_census, octagon_census, tmp_path):
         path = tmp_path / f"census{catalog.n}.jsonl"
         catalog.write_jsonl(str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_census_labels_equal_labels_evaluated_from_the_first_step(
+        octagon_census):
+    # the census labels a class's cells in the plan's order, each resuming
+    # the bracket of the cell before it; here a fresh projection per record
+    # evaluates every cell from the first contraction step
+    vs = regular_ngon(8)
+    for r in octagon_census.records:
+        if r.degenerate:
+            continue
+        d = diagram_from_ordering(vs, Ordering(r.ordering))
+        c = d.n_crossings
+        projection = codes._Projection(extract_gauss_code(
+            d, CrossingAssignment.from_bits(c, 0)))
+        kinds = [codes._packed_reference(c, projection.writhe(b)).get(
+            codes._evaluate(projection.plan, b), codes.OTHER)
+            if c >= 3 else codes.UNKNOT for b in heights.feasible_cells(d)[0]]
+        if c:
+            kinds += [k.mirror() for k in kinds]
+        assert tuple(sorted(k.label for k in kinds)) == r.classes, r.ordering
 
 
 def test_census_rejects_large_n():
