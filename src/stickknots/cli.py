@@ -6,8 +6,9 @@ Three subcommands tie the library together:
 - ``classify`` classifies a diagram given an ordering and assignment;
 - ``render``   draws a diagram as SVG.
 
-Exit codes: 0 the gate passed, 1 it failed, 2 usage error.  Reports are
-deterministic: the same invocation produces byte-identical output.
+Exit codes: 0 the gate passed, 1 it failed, 2 a usage error or an input
+it cannot decide.  Reports are deterministic: the same invocation
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (InvalidParameterError, ValueError, OSError,
+    except (InvalidParameterError, ValueError, OSError, ArithmeticError,
             DegenerateDiagramError, UndecidedLPError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

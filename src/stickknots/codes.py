@@ -41,8 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import (EPS_DEFAULT, Diagram, InvalidParameterError, Vec2,
-                       Walk, _pair_scan, _retraces)
+from .geometry import Diagram, InvalidParameterError
 
 __all__ = [
     "CrossingAssignment",
@@ -60,7 +59,6 @@ __all__ = [
     "tricolorable",
     "classify",
     "classify_jones",
-    "merge_crossingless_runs",
     "stick_filter",
     "alternating_assignment",
     "diagram_writhe",
@@ -487,30 +485,6 @@ def tricolorable(g: GaussCode) -> bool:
 # Knot classes and classification
 
 
-@dataclass(frozen=True)
-class KnotClass:
-    """A small knot type with its reference invariants.
-
-    ``stick_number`` is the standard table value; it is None for
-    unrecognized types.
-    """
-
-    kind: str  # unknot | trefoil | figure_eight | cinquefoil | three_twist | other
-    chirality: Optional[str] = None  # left | right | None
-    stick_number: Optional[int] = None
-
-    @property
-    def label(self) -> str:
-        if self.chirality:
-            return f"{self.kind}_{self.chirality}"
-        return self.kind
-
-    def mirror(self) -> "KnotClass":
-        """The class of the mirror image: left and right swap."""
-        hand = {"left": "right", "right": "left"}.get(self.chirality)
-        return KnotClass(self.kind, hand, self.stick_number)
-
-
 _STICK_NUMBER = {
     "unknot": 3,
     "trefoil": 6,
@@ -520,12 +494,32 @@ _STICK_NUMBER = {
 }
 
 
-def make_knot_class(kind: str, chirality: Optional[str] = None) -> KnotClass:
-    return KnotClass(kind, chirality, _STICK_NUMBER.get(kind))
+@dataclass(frozen=True)
+class KnotClass:
+    """A small knot type, with its handedness when it has one."""
+
+    kind: str  # unknot | trefoil | figure_eight | cinquefoil | three_twist | other
+    chirality: Optional[str] = None  # left | right | None
+
+    @property
+    def label(self) -> str:
+        if self.chirality:
+            return f"{self.kind}_{self.chirality}"
+        return self.kind
+
+    @property
+    def stick_number(self) -> Optional[int]:
+        """The standard table value; None for unrecognized types."""
+        return _STICK_NUMBER.get(self.kind)
+
+    def mirror(self) -> "KnotClass":
+        """The class of the mirror image: left and right swap."""
+        hand = {"left": "right", "right": "left"}.get(self.chirality)
+        return KnotClass(self.kind, hand)
 
 
-UNKNOT = make_knot_class("unknot")
-OTHER = make_knot_class("other")
+UNKNOT = KnotClass("unknot")
+OTHER = KnotClass("other")
 
 # Standard minimal planar diagrams of the reference knots; only used to
 # compute the reference Jones polynomials in-process (validated by the
@@ -555,11 +549,11 @@ def _reference_jones() -> dict[tuple[tuple[int, int], ...], KnotClass]:
         j = jones(pd, w)
         jm = j.mirror()
         if j == jm:
-            out[j.key()] = make_knot_class(kind)
+            out[j.key()] = KnotClass(kind)
             continue
         hands = ("right", "left") if w > 0 else ("left", "right")
         for poly, hand in zip((j, jm), hands):
-            out[poly.key()] = make_knot_class(kind, hand)
+            out[poly.key()] = KnotClass(kind, hand)
     return out
 
 
@@ -598,74 +592,6 @@ def classify(d: Diagram, a: CrossingAssignment) -> KnotClass:
 
 # ---------------------------------------------------------------------------
 # Stick counting
-
-
-def _chord_is_clear(verts: list[Vec2], i: int, eps: float) -> bool:
-    """Whether the chord from vertex i to vertex i + 2 of a closed walk of
-    4 or more vertices, collapsed as ``detect_crossings`` leaves it, may
-    replace the two edges between them.
-
-    The chord is edge 0 of the walk with vertex i + 1 cut out, rotated to
-    start at vertex i.  Only the chord's two corners can retrace, and only
-    the pairs of edges m - 1, 0 and 1 of the cut walk can meet edge 0 or
-    its endpoints.  The chord is clear when it is longer than eps, neither
-    corner retraces, and the scan of those pairs (``geometry._pair_scan``,
-    the scan of ``detect_crossings``) finds no crossing on edge 0, no
-    overlap of it, and no contact on it or at its endpoints.
-    """
-    mm = len(verts)
-    cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
-    if ((cut[1] - cut[0]).norm() <= eps
-            or _retraces(cut[-1], cut[0], cut[1], eps)
-            or _retraces(cut[0], cut[1], cut[2], eps)):
-        return False
-    last = mm - 2  # the cut walk's edge m - 1
-    rows = [(0, range(2, last)), (1, range(3, last + 1))]
-    rows += [(j, (last,)) for j in range(2, last - 1)]
-    crossings, overlaps, contacts = _pair_scan(
-        Walk(tuple(cut) + (cut[0],)), rows, eps)
-    # a crossing or an overlap lists its lower edge first, a coincidence its
-    # vertices sorted, and a vertex_on_edge its vertex first
-    return not (any(c.edge_a == 0 for c in crossings)
-                or any(g.involved[0] == 0 for g in overlaps)
-                or any(inv[0] < 2 or kind == "vertex_on_edge" and inv[1] == 0
-                       for kind, inv in contacts))
-
-
-def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
-    """Effective stick count after merging runs of crossing-free edges.
-
-    Two cyclically consecutive edges merge when neither is incident to any
-    crossing and the straight chord replacing them intersects nothing else
-    in the diagram (so the merged polygon realizes the same knot with one
-    stick fewer, ``_chord_is_clear``); merging repeats until blocked.  A
-    closed polygon never drops below 3 edges.  Edges carrying a crossing at
-    their far vertex (parameter 1.0) block both edges at that corner.
-    """
-    m = d.walk.n_edges
-    blocked = set()
-    for c in d.crossings:
-        for e, t in ((c.edge_a, c.t_a), (c.edge_b, c.t_b)):
-            blocked.add(e % m)
-            if t >= 1.0 - 1e-12:
-                blocked.add((e + 1) % m)
-    verts = [d.walk.vertex(i) for i in range(m)]
-    flags = [e in blocked for e in range(m)]
-
-    changed = True
-    while changed and len(verts) > 3:
-        changed = False
-        mm = len(verts)
-        for i in range(mm):
-            if (not flags[i] and not flags[(i + 1) % mm]
-                    and _chord_is_clear(verts, i, eps)):
-                del verts[(i + 1) % mm]
-                del flags[(i + 1) % mm]
-                changed = True
-                break
-    # No closed curve uses fewer than 3 sticks; walks that retrace-collapsed
-    # below that are unknots, and the unknot needs 3.
-    return max(3, len(verts))
 
 
 def stick_filter(effective_sticks: int, k: KnotClass) -> bool:

@@ -27,6 +27,7 @@ from .geometry import (
     Vec2,
     VectorSet,
     diagram_from_ordering,
+    merge_crossingless_runs,
     polar_sort,
     regular_ngon,
     segment_intersection,
@@ -37,7 +38,6 @@ from .codes import (
     KnotClass,
     alternating_assignment,
     classify,
-    merge_crossingless_runs,
 )
 from .heights import (
     HeightCertificate,

@@ -7,7 +7,8 @@ of the non-adjacent edge pairs whose padded bounding boxes meet finds
 transversals, collinear overlaps and the vertex contacts (coincident
 vertices, vertices on other edges) that symmetric vector sets produce in
 abundance, then resolves each contact by the angular interleaving of the
-strands through it.
+strands through it.  The same scan tells ``merge_crossingless_runs``
+whether a chord may replace two crossing-free edges.
 
 All computations use double precision with an explicit tolerance ``eps``
 (default 1e-9).  Regular polygon coordinates are irrational, so exact
@@ -43,6 +44,7 @@ __all__ = [
     "segment_intersection",
     "detect_crossings",
     "diagram_from_ordering",
+    "merge_crossingless_runs",
     "polar_sort",
     "sign_components_ok",
     "unique_sign_component",
@@ -791,6 +793,72 @@ def diagram_from_ordering(vs: VectorSet, ordering: Ordering,
     d = detect_crossings(walk, eps)
     return Diagram(walk=d.walk, crossings=d.crossings,
                    degeneracies=d.degeneracies, vectors=vs, ordering=ordering)
+
+
+# ---------------------------------------------------------------------------
+# Stick counting
+
+
+def _chord_is_clear(verts: list[Vec2], i: int, eps: float) -> bool:
+    """Whether the chord from vertex i to vertex i + 2 of a closed walk of
+    4 or more vertices, collapsed as ``detect_crossings`` leaves it, may
+    replace the two edges between them.
+
+    The chord is edge 0 of the cut walk, of m = len(verts) - 1 edges: the
+    walk with vertex i + 1 cut out, rotated to start at vertex i.  It is
+    clear when it is longer than eps, the corner at vertex 1 does not
+    retrace, and ``_pair_scan`` of edges 0 and 1 against the rest finds no
+    crossing on edge 0, no overlap of it, and no contact on it or at its
+    endpoints.  Edge m - 1 meets edges 2 to m - 3 on the chord only at
+    vertex 0, which their pairs with edge 0 report, and a retrace at vertex
+    0 puts vertex 1 on vertex m - 1, which the pair (1, m - 1) reports; so
+    neither is asked for.
+    """
+    mm = len(verts)
+    cut = [verts[(i + k) % mm] for k in range(mm) if k != 1]
+    if (cut[1] - cut[0]).norm() <= eps or _retraces(*cut[:3], eps):
+        return False
+    crossings, overlaps, contacts = _pair_scan(
+        Walk(tuple(cut) + (cut[0],)),
+        ((0, range(2, mm - 2)), (1, range(3, mm - 1))), eps)
+    # a crossing or an overlap lists its lower edge first, a coincidence its
+    # vertices sorted, and a vertex_on_edge its vertex first
+    return not (any(c.edge_a == 0 for c in crossings)
+                or any(g.involved[0] == 0 for g in overlaps)
+                or any(inv[0] < 2 or kind == "vertex_on_edge" and inv[1] == 0
+                       for kind, inv in contacts))
+
+
+def merge_crossingless_runs(d: Diagram, eps: float = EPS_DEFAULT) -> int:
+    """Effective stick count after merging runs of crossing-free edges.
+
+    Two cyclically consecutive edges merge when neither is incident to any
+    crossing and the straight chord replacing them intersects nothing else
+    in the diagram (so the merged polygon realizes the same knot with one
+    stick fewer, ``_chord_is_clear``); merging repeats until blocked.  A
+    closed polygon never drops below 3 edges.  Edges carrying a crossing at
+    their far vertex (parameter 1.0) block both edges at that corner.
+    """
+    m = d.walk.n_edges
+    blocked = set()
+    for c in d.crossings:
+        for e, t in ((c.edge_a, c.t_a), (c.edge_b, c.t_b)):
+            blocked.add(e % m)
+            if t >= 1.0 - 1e-12:
+                blocked.add((e + 1) % m)
+    verts = [d.walk.vertex(i) for i in range(m)]
+    flags = [e in blocked for e in range(m)]
+
+    while len(verts) > 3:
+        mm = len(verts)
+        i = next((i for i in range(mm) if not (flags[i] or flags[(i + 1) % mm])
+                  and _chord_is_clear(verts, i, eps)), None)
+        if i is None:
+            break
+        del verts[(i + 1) % mm], flags[(i + 1) % mm]
+    # No closed curve uses fewer than 3 sticks; walks that retrace-collapsed
+    # below that are unknots, and the unknot needs 3.
+    return max(3, len(verts))
 
 
 # ---------------------------------------------------------------------------

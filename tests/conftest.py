@@ -404,7 +404,7 @@ def _touches_chord(g: Degeneracy) -> bool:
 
 def cut_walk_chord_is_clear(verts: list[Vec2], i: int,
                             eps: float = EPS_DEFAULT) -> bool:
-    """``codes._chord_is_clear`` decided by a whole ``detect_crossings``.
+    """``geometry._chord_is_clear`` decided by a whole ``detect_crossings``.
 
     The walk with vertex i + 1 cut out, rotated so that the chord is edge
     0, is detected whole: the chord is clear when that walk collapses no

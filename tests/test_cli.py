@@ -321,6 +321,16 @@ def test_classify_without_an_alternating_assignment_exits_2(capsys):
         "error: diagram has no alternating assignment\n")
 
 
+def test_classify_a_polynomial_without_an_integer_determinant_exits_2(capsys):
+    # this clean class has a triple point; bits 113 give a Jones polynomial
+    # with |V(-1)| = sqrt(13), which no knot's determinant equals
+    assert main(["classify", "--n", "9", "--ordering", "0,1,2,7,5,8,3,6,4",
+                 "--assignment", "113"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: determinant 3.6055") and err.count("\n") == 1
+
+
 def test_render_alternating_on_a_degenerate_diagram_exits_2(capsys):
     # this 7-gon ordering leaves a contact unresolved: it has no alternating
     # assignment to draw, but integer bits still draw it

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from stickknots import codes
+from stickknots import codes, geometry
 from stickknots.geometry import (
     EPS_DEFAULT,
     Diagram,
     Ordering,
     diagram_from_ordering,
+    merge_crossingless_runs,
     regular_ngon,
 )
 from stickknots.codes import (
@@ -23,6 +24,7 @@ from stickknots.codes import (
     GaussCode,
     GaussEntry,
     InvalidParameterError,
+    KnotClass,
     LaurentPoly,
     alternating_assignment,
     classify,
@@ -33,8 +35,6 @@ from stickknots.codes import (
     gauss_to_pd,
     jones,
     kauffman_bracket,
-    make_knot_class,
-    merge_crossingless_runs,
     pd_writhe,
     stick_filter,
     tricolorable,
@@ -771,7 +771,7 @@ def _agreeing_chord_test(monkeypatch):
     """Route ``merge_crossingless_runs``'s chord test through both the pair
     scan and the cut-walk oracle, asserting that they agree; returns the
     checking test and the list of its verdicts."""
-    scan, verdicts = codes._chord_is_clear, []
+    scan, verdicts = geometry._chord_is_clear, []
 
     def both(verts, i, eps):
         got = scan(verts, i, eps)
@@ -779,7 +779,7 @@ def _agreeing_chord_test(monkeypatch):
         verdicts.append(got)
         return got
 
-    monkeypatch.setattr(codes, "_chord_is_clear", both)
+    monkeypatch.setattr(geometry, "_chord_is_clear", both)
     return both, verdicts
 
 
@@ -823,8 +823,7 @@ def test_chord_scan_agrees_with_the_cut_walk_oracle_on_walks_with_contacts(
 
 
 def test_merged_sticks_never_beat_stick_number():
-    from stickknots.codes import make_knot_class
-    trefoil = make_knot_class("trefoil", "right")
+    trefoil = KnotClass("trefoil", "right")
     assert stick_filter(6, trefoil)
     assert not stick_filter(5, trefoil)
     assert stick_filter(3, UNKNOT)
@@ -835,7 +834,7 @@ def test_unrecognized_jones_polynomials_share_one_class():
     # class "other", which carries no invariant of its own
     j = jones(TREFOIL_PD, pd_writhe(TREFOIL_PD))
     granny, square = classify_jones(j * j), classify_jones(j * j.mirror())
-    assert granny == square == make_knot_class("other")
+    assert granny == square == KnotClass("other")
     assert (granny.label, granny.stick_number) == ("other", None)
 
 

@@ -17,6 +17,7 @@ from stickknots.geometry import (
     Vec2,
     VectorSet,
     diagram_from_ordering,
+    merge_crossingless_runs,
     regular_ngon,
 )
 from stickknots.codes import (
@@ -25,7 +26,6 @@ from stickknots.codes import (
     alternating_assignment,
     classify,
     extract_gauss_code,
-    merge_crossingless_runs,
 )
 from stickknots.heights import (
     constraints_from_assignment,

@@ -1,10 +1,12 @@
 """Source hygiene: no module under src/stickknots imports a name it never
 uses, defines a top-level name that nothing reads, exports a function that
 no other module reads, or gives a function a parameter that its body
-neither reads nor deletes; only ``heights._lp_model`` builds a HiGHS
-model or sets its options; no module imports ``scipy.optimize`` outside
-``heights``'s type-checking block; and the benchmark tracer finds every
-function it names and sees every census label."""
+neither reads nor deletes; no module takes a private name from another,
+but for ``triple``'s ``codes._Projection``; only ``heights._lp_model``
+builds a HiGHS model or sets its options; no module imports
+``scipy.optimize`` outside ``heights``'s type-checking block; and the
+benchmark tracer finds every function it names and sees every census
+label."""
 
 import ast
 import importlib.util
@@ -186,6 +188,52 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Private names that one module of the package takes from another.
+
+    ``sources`` maps module names to source text.  A name counts when a
+    module imports it by name from a sibling (``from .codes import _x``),
+    or reads it as an attribute of a sibling module it imported
+    (``from . import codes`` then ``codes._x``).  Each is named as
+    ``importer <- module.name``.
+    """
+    out = set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        siblings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        out.add(f"{mod} <- {node.module}.{alias.name}")
+        out.update(f"{mod} <- {siblings[node.value.id]}.{node.attr}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in siblings
+                   and node.attr.startswith("_") and node.attr[1:2] != "_")
+    return sorted(out)
+
+
+def test_private_import_detector():
+    sources = {
+        "a": "from .b import _f, g\nfrom . import c as cc\n"
+             "x = cc._h + cc.k + cc.__name__\n",
+        "b": "from typing import _T\nimport c\ny = c._z\n",
+    }
+    assert private_imports(sources) == ["a <- b._f", "a <- c._h"]
+
+
+def test_only_triple_reads_a_private_name_of_another_module():
+    # triple resolves closure schemes as flips of the one projection that
+    # codes labels diagrams with, so it shares codes' _Projection
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert private_imports(sources) == ["triple <- codes._Projection"]
 
 
 def highs_configurations(sources: dict[str, str],
